@@ -50,8 +50,14 @@ class SectionOp:
     The window `rows` is half-open: output entries with index outside
     [rows[0], rows[1]) are zero.  A full section has rows == (0, size);
     truncations narrow the window from above and their complementary tail
-    operators narrow it from below.  Moments are derived from the measure
-    on construction, so they always satisfy moments[n] = moment(measure, n).
+    operators narrow it from below.
+
+    `moments` holds mu_0, ..., mu_{size-1}.  Left out, it is computed as
+    moment_sequence(measure, size).  A caller that already holds
+    moment_sequence(measure, N) for some N >= size may pass that array
+    instead; the section keeps a read-only view of its first `size`
+    entries, so nested sections and the truncations made through
+    dataclasses.replace share one array and never recompute it.
     """
 
     measure: Measure
@@ -59,7 +65,7 @@ class SectionOp:
     beta: SpaceIndex
     size: int
     rows: tuple[int, int] | None = None
-    moments: np.ndarray = field(init=False, repr=False, compare=False)
+    moments: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 1:
@@ -70,7 +76,16 @@ class SectionOp:
         )
         if not 0 <= rows[0] <= rows[1] <= self.size:
             raise ValueError(f"row window {rows} out of range for size {self.size}")
-        moments = moment_sequence(self.measure, self.size)
+        if self.moments is None:
+            moments = moment_sequence(self.measure, self.size)
+        else:
+            moments = np.asarray(self.moments, dtype=float)
+            if moments.ndim != 1 or moments.size < self.size:
+                raise ValueError(
+                    f"moments must be a 1-d array of at least {self.size} "
+                    f"entries, got shape {moments.shape}"
+                )
+            moments = moments[: self.size]
         moments.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "moments", moments)
@@ -185,7 +200,9 @@ def section_norm(
     residual = math.inf
     for iteration in range(1, max_iter + 1):
         av = w_out * np.cumsum(w_in * v)
-        sigma = math.sqrt(float(np.dot(av, av)))
+        # np.sum, unlike the BLAS dot behind np.dot and np.linalg.norm,
+        # adds in an order that does not depend on the BLAS thread count.
+        sigma = math.sqrt(float(np.sum(av * av)))
         if sigma == 0.0:
             return OpNormEstimate(0.0, iteration, 0.0, method)
         if sigma_prev is not None:
@@ -194,7 +211,7 @@ def section_norm(
                 return OpNormEstimate(sigma, iteration, residual, method)
         sigma_prev = sigma
         btv = w_in * np.cumsum((w_out * av)[::-1])[::-1]
-        btv_norm = float(np.linalg.norm(btv))
+        btv_norm = math.sqrt(float(np.sum(btv * btv)))
         if btv_norm == 0.0 or not math.isfinite(btv_norm):
             # The back-applied iterate underflowed (denormal sections);
             # sigma cannot improve from here.
@@ -239,8 +256,11 @@ def norm_growth_profile(
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
 
+    # Sections are nested, so every size reads a prefix of one sequence.
+    moments = moment_sequence(measure, sizes[-1])
+
     def entry(n: int) -> tuple[int, OpNormEstimate]:
-        op = SectionOp(measure, alpha, beta, n)
+        op = SectionOp(measure, alpha, beta, n, moments=moments)
         return n, section_norm(op, tol=tol, max_iter=max_iter)
 
     workers = _max_workers()

@@ -118,7 +118,9 @@ class CoeffVec:
 def norm(f: CoeffVec, s: SpaceIndex) -> float:
     """Weighted l2 norm (sum (n+1)^(1-alpha) a_n^2)^(1/2) of the finite vector."""
     a = f.coeffs
-    return math.sqrt(float(np.dot(s.weights(a.size), a * a)))
+    # fsum rounds the exact sum once, so neither the BLAS summation order
+    # nor appended zeros can change the result.
+    return math.sqrt(math.fsum((s.weights(a.size) * (a * a)).tolist()))
 
 
 def _require_open_interval(alpha: float, name: str) -> None:

@@ -1,5 +1,10 @@
 """Log-Gamma, Beta, and Stirling-form remainder evaluation.
 
+No production code path calls this module: `measures` evaluates moments
+with scipy.special.  It stays as an independent oracle, in pure Python,
+for acceptance criterion 5 (the Stirling remainder behind the Gamma(s)
+limit of critical normalized moments) and for the tests.
+
 Everything is done in log space so that Beta moments like B(n+1, g+1)
 stay representable for n up to 1e6 and beyond.  The accuracy contract for
 `log_gamma` is a relative error of the implied Gamma value below 1e-12

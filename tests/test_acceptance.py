@@ -160,7 +160,7 @@ def test_criterion_5_moment_machinery() -> None:
 
     # Critical power law: mu_n (n+1)^s tends to Gamma(s); the oracle is the
     # direct Stirling product, an independent route from the moment's
-    # log-beta evaluation.
+    # scipy Gamma / Pochhammer evaluation.
     n_big = 10**5
     for s in (0.5, 0.8, 1.0, 1.2, 1.5):
         m = Measure(densities=((1.0, s - 1.0, 0.0),))

@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from cesarobench.cli import build_panel, default_config
 from cesarobench.measures import (
     Measure,
     MeasureSemanticError,
@@ -175,11 +177,54 @@ class TestMoment:
         assert moment(m, 1) == 0.0
 
     def test_moment_sequence_matches_pointwise(self):
-        for expr in PANEL:
+        # The last measure overflows Gamma and poch, taking the log route.
+        for expr in PANEL + ["powlaw(c=1,gamma=200,delta=300) + atom(0.5,1.0)"]:
             m = parse_measure(expr)
             seq = moment_sequence(m, 65)
             for n in (0, 1, 7, 64):
                 assert seq[n] == moment(m, n)
+
+
+def _exact_moment(c: float, gamma: float, delta: float, n: int):
+    """c B(n+delta+1, gamma+1) at 40 digits, from the exact float inputs."""
+    with mpmath.workdps(40):
+        return mpmath.mpf(c) * mpmath.beta(
+            n + mpmath.mpf(delta) + 1, mpmath.mpf(gamma) + 1
+        )
+
+
+class TestMomentAccuracy:
+    # Exponent pairs (gamma, delta) of every density on the default panel.
+    PANEL_EXPONENTS = sorted(
+        {(g, d) for _, m, _, _ in build_panel(default_config()) for _, g, d in m.densities}
+    )
+    # The dyadic grid of the moment engine, and the band where scipy's
+    # poch switches from its log-gamma difference to its asymptotic series.
+    NS = dyadic_grid(1 << 20) + list(range(5000, 10001, 10))
+
+    def test_panel_exponents_against_mpmath(self):
+        for gamma, delta in self.PANEL_EXPONENTS:
+            m = Measure.powlaw(1.0, gamma, delta)
+            for n in self.NS:
+                exact = _exact_moment(1.0, gamma, delta, n)
+                rel = float(abs((mpmath.mpf(moment(m, n)) - exact) / exact))
+                assert rel <= 1e-10, (gamma, delta, n, rel)
+
+    @pytest.mark.parametrize("gamma", [60.0, 170.0, 200.0])
+    @pytest.mark.parametrize("delta", [0.0, 300.0, 1e6])
+    def test_extreme_exponents_stay_finite_and_accurate(self, gamma, delta):
+        # Gamma(gamma+1) and poch(n+delta+1, gamma+1) overflow here, so the
+        # plain quotient would give inf, nan or a spurious 0.
+        m = Measure.powlaw(1.0, gamma, delta)
+        for n in (0, 1, 10, 1000, 1 << 20):
+            got = moment(m, n)
+            assert math.isfinite(got) and got >= 0.0, (gamma, delta, n, got)
+            exact = _exact_moment(1.0, gamma, delta, n)
+            if exact >= 1e-300:
+                rel = float(abs((mpmath.mpf(got) - exact) / exact))
+                assert rel <= 1e-7, (gamma, delta, n, got, exact)
+            else:
+                assert got <= 1e-300, (gamma, delta, n, got, exact)
 
 
 class TestMomentByParts:

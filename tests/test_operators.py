@@ -1,12 +1,18 @@
 """Section operators: application, truncation windows, norm estimation."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cesarobench.measures import Measure, moment, parse_measure
+import cesarobench
+from cesarobench import operators
+from cesarobench.measures import Measure, moment, moment_sequence, parse_measure
 from cesarobench.operators import (
     OpNormEstimate,
     SectionOp,
@@ -54,6 +60,23 @@ class TestSectionOp:
             SectionOp(LEB, S1, S1, 4, rows=(3, 2))
         with pytest.raises(ValueError):
             SectionOp(LEB, S1, S1, 4, rows=(0, 5))
+
+    def test_given_moments_are_a_read_only_prefix_view(self):
+        m = parse_measure("atom(0.5,0.5)+powlaw(c=1,gamma=0,delta=0)")
+        seq = moment_sequence(m, 64)
+        op = SectionOp(m, S1, S1, 16, moments=seq)
+        assert np.shares_memory(op.moments, seq)
+        assert op.moments.shape == (16,)
+        assert np.array_equal(op.moments, SectionOp(m, S1, S1, 16).moments)
+        with pytest.raises(ValueError):
+            op.moments[0] = 2.0
+        assert seq.flags.writeable
+
+    def test_short_moment_array_rejected(self):
+        with pytest.raises(ValueError):
+            SectionOp(LEB, S1, S1, 8, moments=moment_sequence(LEB, 7))
+        with pytest.raises(ValueError):
+            SectionOp(LEB, S1, S1, 8, moments=np.ones((8, 1)))
 
 
 class TestApply:
@@ -134,6 +157,14 @@ class TestTruncate:
         assert np.all(tail[:21] == 0.0)
         assert np.all(head[21:] == 0.0)
         assert np.array_equal(head + tail, full)
+
+    def test_truncations_share_the_parent_moments(self):
+        op = SectionOp(LEB, SpaceIndex(0.5), SpaceIndex(1.5), 64)
+        for derived in (truncate(op, 20), tail_section(op, 20),
+                        tail_section(truncate(op, 40), 10)):
+            assert np.shares_memory(derived.moments, op.moments)
+            assert np.array_equal(derived.moments, op.moments)
+            assert not derived.moments.flags.writeable
 
     def test_range_errors(self):
         op = SectionOp(LEB, S1, S1, 4)
@@ -233,6 +264,24 @@ class TestGrowthProfile:
         )
         assert abs(prof[-1][1].value - prof[-2][1].value) < 1e-6
 
+    def test_sections_share_one_sequence_equal_to_fresh_builds(self, monkeypatch):
+        m = parse_measure("atom(0.9,0.25)+powlaw(c=0.5,gamma=0.5,delta=1)")
+        alpha, beta = SpaceIndex(0.5), SpaceIndex(1.5)
+        seen = []
+
+        def recording_norm(op, **kwargs):
+            seen.append(op)
+            return section_norm(op, **kwargs)
+
+        monkeypatch.setattr(operators, "section_norm", recording_norm)
+        prof = norm_growth_profile(m, alpha, beta, [64, 512, 1024, 4096])
+        assert [op.size for op in seen] == [64, 512, 1024, 4096]
+        for op, (n, est) in zip(seen, prof):
+            fresh = SectionOp(m, alpha, beta, n)
+            assert np.array_equal(op.moments, fresh.moments)
+            assert est == section_norm(fresh)
+            assert np.shares_memory(op.moments, seen[-1].moments)
+
     def test_size_validation(self):
         with pytest.raises(ValueError):
             norm_growth_profile(LEB, S1, S1, [])
@@ -263,3 +312,29 @@ class TestGrowthProfile:
         monkeypatch.setenv("CESARO_THREADS", "0")
         with pytest.raises(ValueError):
             norm_growth_profile(LEB, S1, S1, [8])
+
+
+def test_power_iteration_norm_ignores_blas_threads():
+    # The reductions in the power iteration avoid BLAS, whose summation
+    # order can depend on the number of threads.
+    script = (
+        "from cesarobench.measures import parse_measure\n"
+        "from cesarobench.operators import SectionOp, section_norm\n"
+        "from cesarobench.spaces import SpaceIndex\n"
+        "m = parse_measure('powlaw(c=1,gamma=-0.5,delta=0)')\n"
+        "op = SectionOp(m, SpaceIndex(0.5), SpaceIndex(1.5), 131072)\n"
+        "print(repr(section_norm(op, method='power_iteration').value))\n"
+    )
+    src = str(Path(cesarobench.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        outputs.append(done.stdout.strip())
+    assert outputs[0] == outputs[1], outputs
