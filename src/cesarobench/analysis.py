@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -32,7 +33,6 @@ import numpy as np
 from .measures import Measure, dyadic_grid, format_measure, moment, tail
 from .operators import (
     SectionOp,
-    _max_workers,
     norm_growth_profile,
     section_norm,
     tail_section,
@@ -438,6 +438,19 @@ def check_equivalence(
         compactness_agree=compactness_agree,
         warnings=tuple(warnings),
     )
+
+
+def _max_workers() -> int:
+    raw = os.environ.get("CESARO_THREADS", "").strip()
+    if not raw:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"CESARO_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def evaluate_panel(entries, config: EquivalenceConfig | None = None) -> list:

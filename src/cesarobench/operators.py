@@ -8,9 +8,9 @@ lower-triangular matrix
 
     A[n, k] = (n+1)^((1-beta)/2) * mu_n * (k+1)^(-(1-alpha)/2),   k <= n.
 
-Small sections go through a dense SVD; large ones use power iteration on
-A^T A with both matrix-vector products applied matrix-free through prefix
-sums, so no N x N array is ever formed.
+The norm comes from power iteration on A^T A with both matrix-vector
+products applied matrix-free through prefix sums, so no N x N array is
+ever formed.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,11 +35,6 @@ __all__ = [
     "norm_growth_profile",
     "profile_to_csv",
 ]
-
-# Largest section handled by the dense SVD route; beyond it the iterative
-# path takes over.
-DENSE_SVD_LIMIT = 512
-
 
 @dataclass(frozen=True, eq=False)
 class SectionOp:
@@ -96,20 +89,21 @@ class OpNormEstimate:
     """Largest-singular-value estimate with its convergence record.
 
     `value` is a lower bound on the section norm (Rayleigh quotients of
-    A^T A underestimate; the dense route is exact to machine precision).
-    `residual` is the last gap between successive estimates; it exceeds the
-    requested tolerance only when iteration stopped at max_iter.
+    A^T A underestimate).  `residual` is the last gap between successive
+    estimates; it exceeds the requested tolerance only when iteration
+    stopped at max_iter.  `method` names the route in profile output and
+    is always "power_iteration".
     """
 
     value: float
     iterations: int
     residual: float
-    method: str
+    method: str = "power_iteration"
 
     def __post_init__(self) -> None:
         if self.value < 0 or self.residual < 0:
             raise ValueError("estimate and residual must be nonnegative")
-        if self.method not in ("dense_svd", "power_iteration"):
+        if self.method != "power_iteration":
             raise ValueError(f"unknown method {self.method!r}")
 
 
@@ -159,39 +153,21 @@ def _conjugation_weights(op: SectionOp) -> tuple[np.ndarray, np.ndarray]:
     return w_in, w_out
 
 
-def weighted_matrix(op: SectionOp) -> np.ndarray:
-    """The dense conjugated matrix A; rows outside the window are zero."""
-    w_in, w_out = _conjugation_weights(op)
-    return np.tril(np.outer(w_out, w_in))
-
-
 def section_norm(
-    op: SectionOp,
-    tol: float = 1e-9,
-    max_iter: int = 20000,
-    method: str | None = None,
+    op: SectionOp, tol: float = 1e-9, max_iter: int = 20000
 ) -> OpNormEstimate:
     """Largest singular value of the conjugated section matrix.
 
-    method=None picks dense SVD for size <= DENSE_SVD_LIMIT and power
-    iteration above; pass an explicit method name to override (the dense
-    route doubles as the oracle for the iterative one).  Power iteration
-    starts from the all-ones vector, which has positive overlap with the
-    top singular vector because every matrix entry is nonnegative, and
-    stops when successive Rayleigh estimates differ by less than tol.
-    Non-convergence is reported through residual > tol, never raised.
+    Power iteration on A^T A starts from the all-ones vector, which has
+    positive overlap with the top singular vector because every matrix
+    entry is nonnegative, and stops when successive Rayleigh estimates
+    differ by less than tol.  Non-convergence is reported through
+    residual > tol, never raised.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    if method is None:
-        method = "dense_svd" if op.size <= DENSE_SVD_LIMIT else "power_iteration"
-    if method == "dense_svd":
-        value = float(np.linalg.svd(weighted_matrix(op), compute_uv=False)[0])
-        return OpNormEstimate(value=value, iterations=0, residual=0.0, method=method)
-    if method != "power_iteration":
-        raise ValueError(f"unknown method {method!r}")
 
     w_in, w_out = _conjugation_weights(op)
     v = np.full(op.size, 1.0 / math.sqrt(op.size))
@@ -204,35 +180,20 @@ def section_norm(
         # adds in an order that does not depend on the BLAS thread count.
         sigma = math.sqrt(float(np.sum(av * av)))
         if sigma == 0.0:
-            return OpNormEstimate(0.0, iteration, 0.0, method)
+            return OpNormEstimate(0.0, iteration, 0.0)
         if sigma_prev is not None:
             residual = abs(sigma - sigma_prev)
             if residual < tol:
-                return OpNormEstimate(sigma, iteration, residual, method)
+                return OpNormEstimate(sigma, iteration, residual)
         sigma_prev = sigma
         btv = w_in * np.cumsum((w_out * av)[::-1])[::-1]
         btv_norm = math.sqrt(float(np.sum(btv * btv)))
         if btv_norm == 0.0 or not math.isfinite(btv_norm):
             # The back-applied iterate underflowed (denormal sections);
             # sigma cannot improve from here.
-            return OpNormEstimate(sigma, iteration, 0.0, method)
+            return OpNormEstimate(sigma, iteration, 0.0)
         v = btv / btv_norm
-    return OpNormEstimate(sigma, max_iter, residual, method)
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("CESARO_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"CESARO_THREADS must be a positive integer, got {raw!r}"
-        ) from None
-    if workers < 1:
-        raise ValueError(f"CESARO_THREADS must be a positive integer, got {raw!r}")
-    return workers
+    return OpNormEstimate(sigma, max_iter, residual)
 
 
 def norm_growth_profile(
@@ -246,9 +207,7 @@ def norm_growth_profile(
     """Section norms at each size, ordered by size.
 
     Sections are nested, so the exact norms are nondecreasing; the
-    estimates inherit that up to the reported residuals.  Entries are
-    independent and may be computed on a thread pool (CESARO_THREADS),
-    which cannot change any value, only wall time.
+    estimates inherit that up to the reported residuals.
     """
     sizes = [int(n) for n in sizes]
     if not sizes or sizes[0] < 1:
@@ -259,15 +218,11 @@ def norm_growth_profile(
     # Sections are nested, so every size reads a prefix of one sequence.
     moments = moment_sequence(measure, sizes[-1])
 
-    def entry(n: int) -> tuple[int, OpNormEstimate]:
+    profile = []
+    for n in sizes:
         op = SectionOp(measure, alpha, beta, n, moments=moments)
-        return n, section_norm(op, tol=tol, max_iter=max_iter)
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(entry, sizes))
-    return [entry(n) for n in sizes]
+        profile.append((n, section_norm(op, tol=tol, max_iter=max_iter)))
+    return profile
 
 
 def profile_to_csv(profile: list[tuple[int, OpNormEstimate]]) -> str:

@@ -209,7 +209,7 @@ def test_criterion_7_pointwise_inequalities() -> None:
     )
 
 
-def test_criterion_8_property_suites() -> None:
+def test_criterion_8_property_suites(dense_norm) -> None:
     rng = np.random.default_rng(20260819)
     measures = [
         LEBESGUE,
@@ -240,9 +240,8 @@ def test_criterion_8_property_suites() -> None:
     for m in measures:
         for alpha, beta in ((1.0, 1.0), (0.5, 1.5), (1.5, 0.5)):
             op = SectionOp(m, SpaceIndex(alpha), SpaceIndex(beta), 256)
-            dense = section_norm(op, method="dense_svd").value
-            power = section_norm(op, tol=1e-12, method="power_iteration").value
-            assert power == pytest.approx(dense, rel=1e-8)
+            power = section_norm(op, tol=1e-12).value
+            assert power == pytest.approx(dense_norm(op), rel=1e-8)
 
     # Test families: unit-norm geometric, dominated counterexample, and a
     # weak-null family whose norms stay in a 4x bracket.

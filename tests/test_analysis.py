@@ -375,6 +375,12 @@ class TestEvaluatePanel:
         threaded = reports_to_json(evaluate_panel(PANEL_ENTRIES, FAST_CONFIG))
         assert threaded == serial
 
+    def test_bad_thread_env(self, monkeypatch) -> None:
+        for bad in ("many", "0"):
+            monkeypatch.setenv("CESARO_THREADS", bad)
+            with pytest.raises(ValueError, match="CESARO_THREADS"):
+                evaluate_panel(PANEL_ENTRIES[:1], FAST_CONFIG)
+
 
 class TestReportSerialization:
     def test_json_roundtrip_and_nonfinite(self) -> None:

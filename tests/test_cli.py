@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cesarobench
 from cesarobench.cli import (
     ConfigError,
     DEFAULT_MEASURES,
@@ -280,7 +285,21 @@ class TestCmdNormGrowth:
         assert rc == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert [row["N"] for row in doc["rows"]] == [16, 32]
-        assert doc["rows"][0]["method"] == "dense_svd"
+        assert doc["rows"][0]["method"] == "power_iteration"
+
+    def test_python_dash_m_entry_point(self) -> None:
+        src = str(Path(cesarobench.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "cesarobench", "norm-growth", "--measure",
+             "lebesgue", "--alpha", "1", "--beta", "1", "--sizes", "8,16"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("N,norm,method,iterations,residual\n")
 
     def test_bad_sizes_exit_2(self, capsys) -> None:
         rc = main(

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import cesarobench
 from cesarobench import operators
+from cesarobench.cli import build_panel, default_config
 from cesarobench.measures import Measure, moment, moment_sequence, parse_measure
 from cesarobench.operators import (
     OpNormEstimate,
@@ -22,7 +23,6 @@ from cesarobench.operators import (
     section_norm,
     tail_section,
     truncate,
-    weighted_matrix,
 )
 from cesarobench.spaces import CoeffVec, SpaceIndex
 
@@ -180,11 +180,11 @@ class TestSectionNorm:
         for a, b in ((0.5, 1.5), (1.0, 1.0), (1.9, 0.1)):
             op = SectionOp(LEB, SpaceIndex(a), SpaceIndex(b), 1)
             est = section_norm(op)
-            assert est.method == "dense_svd"
+            assert est.method == "power_iteration"
             assert est.value == pytest.approx(op.moments[0], rel=1e-14)
             assert est.value == pytest.approx(1.0, rel=1e-12)
 
-    def test_power_matches_svd_small(self):
+    def test_power_matches_svd_small(self, dense_norm):
         for expr, a, b in (
             ("lebesgue", 1.0, 1.0),
             ("atom(0.5,1.0)", 0.5, 1.5),
@@ -192,21 +192,23 @@ class TestSectionNorm:
             ("atom(0.9,0.25)+powlaw(c=0.5,gamma=0.5,delta=1)", 1.2, 0.8),
         ):
             op = SectionOp(parse_measure(expr), SpaceIndex(a), SpaceIndex(b), 256)
-            sv = section_norm(op, method="dense_svd")
-            pw = section_norm(op, tol=1e-12, max_iter=10**5, method="power_iteration")
-            assert pw.value == pytest.approx(sv.value, rel=1e-8)
+            pw = section_norm(op, tol=1e-12, max_iter=10**5)
+            assert pw.value == pytest.approx(dense_norm(op), rel=1e-8)
             assert pw.residual <= 1e-12
+        # Every default-panel entry at the default tol, at the sizes the
+        # dense SVD used to serve.
+        for name, m, a, b in build_panel(default_config()):
+            for n in (64, 512):
+                op = SectionOp(m, SpaceIndex(a), SpaceIndex(b), n)
+                pw = section_norm(op)
+                want = dense_norm(op)
+                assert pw.value == pytest.approx(want, rel=1e-8), (name, a, b, n)
 
-    def test_power_matches_svd_at_2048(self):
+    def test_power_matches_svd_at_2048(self, dense_norm):
         op = SectionOp(LEB, S1, S1, 2048)
-        sv = section_norm(op, method="dense_svd")
         pw = section_norm(op, tol=1e-9, max_iter=20000)
         assert pw.method == "power_iteration"
-        assert abs(pw.value - sv.value) <= 1e-6
-
-    def test_method_selection_by_size(self):
-        assert section_norm(SectionOp(LEB, S1, S1, 512)).method == "dense_svd"
-        assert section_norm(SectionOp(LEB, S1, S1, 513)).method == "power_iteration"
+        assert abs(pw.value - dense_norm(op)) <= 1e-6
 
     def test_nondecreasing_in_size(self):
         values = [
@@ -215,15 +217,14 @@ class TestSectionNorm:
         ]
         assert all(a <= b + 1e-8 for a, b in zip(values, values[1:]))
 
-    def test_value_lower_bounds_matrix_norm(self):
+    def test_value_lower_bounds_matrix_norm(self, dense_norm):
         op = SectionOp(LEB, SpaceIndex(1.3), SpaceIndex(0.9), 300)
-        sv = float(np.linalg.svd(weighted_matrix(op), compute_uv=False)[0])
-        pw = section_norm(op, tol=1e-10, max_iter=10**5, method="power_iteration")
-        assert pw.value <= sv * (1 + 1e-12)
+        pw = section_norm(op, tol=1e-10, max_iter=10**5)
+        assert pw.value <= dense_norm(op) * (1 + 1e-12)
 
     def test_zero_tail_of_origin_atom(self):
         op = tail_section(SectionOp(Measure.atom(0.0, 1.0), S1, S1, 32), 0)
-        est = section_norm(op, method="power_iteration")
+        est = section_norm(op)
         assert est.value == 0.0
 
     def test_nonconvergence_flagged_not_raised(self):
@@ -240,9 +241,7 @@ class TestSectionNorm:
         with pytest.raises(ValueError):
             section_norm(op, max_iter=0)
         with pytest.raises(ValueError):
-            section_norm(op, method="qr")
-        with pytest.raises(ValueError):
-            OpNormEstimate(-1.0, 0, 0.0, "dense_svd")
+            OpNormEstimate(-1.0, 0, 0.0, "power_iteration")
         with pytest.raises(ValueError):
             OpNormEstimate(1.0, 0, 0.0, "guesswork")
 
@@ -299,42 +298,53 @@ class TestGrowthProfile:
         assert lines[1].startswith("8,")
         assert float(lines[1].split(",")[1]) == prof[0][1].value
 
-    def test_thread_pool_is_value_invariant(self, monkeypatch):
-        serial = profile_to_csv(norm_growth_profile(LEB, S1, S1, [16, 32, 64]))
-        monkeypatch.setenv("CESARO_THREADS", "3")
-        threaded = profile_to_csv(norm_growth_profile(LEB, S1, S1, [16, 32, 64]))
-        assert threaded == serial
 
-    def test_bad_thread_env(self, monkeypatch):
-        monkeypatch.setenv("CESARO_THREADS", "many")
-        with pytest.raises(ValueError):
-            norm_growth_profile(LEB, S1, S1, [8])
-        monkeypatch.setenv("CESARO_THREADS", "0")
-        with pytest.raises(ValueError):
-            norm_growth_profile(LEB, S1, S1, [8])
-
-
-def test_power_iteration_norm_ignores_blas_threads():
+def test_power_iteration_norm_ignores_blas_threads(tmp_path):
     # The reductions in the power iteration avoid BLAS, whose summation
-    # order can depend on the number of threads.
+    # order can depend on the number of threads, so a whole verify run
+    # and one large section are byte-identical under 1 and 2 BLAS threads.
+    # Small sections run single-threaded in BLAS anyway; the sizes reach
+    # 2^17 so that a BLAS reduction would show in the reports too.
+    config = tmp_path / "panel.ini"
+    config.write_text(
+        "[panel]\n"
+        "pairs = 1.0,1.0; 0.5,1.5\n"
+        "sizes = 64,128,256,512,1024,8192,131072\n"
+        "grid_depth = 12\n"
+        "n_max = 16384\n"
+        "[measures]\n"
+        "leb = lebesgue\n"
+        "crit = powlaw(c=1.0, gamma={s-1}, delta=0.0)\n"
+        "mix = atom(0.9,0.25) + powlaw(c=0.5, gamma={s-0.5}, delta=1.0)\n",
+        encoding="utf-8",
+    )
     script = (
+        "import sys\n"
+        "from cesarobench.cli import main\n"
         "from cesarobench.measures import parse_measure\n"
         "from cesarobench.operators import SectionOp, section_norm\n"
         "from cesarobench.spaces import SpaceIndex\n"
+        "assert main(['verify', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
         "m = parse_measure('powlaw(c=1,gamma=-0.5,delta=0)')\n"
         "op = SectionOp(m, SpaceIndex(0.5), SpaceIndex(1.5), 131072)\n"
-        "print(repr(section_norm(op, method='power_iteration').value))\n"
+        "print(repr(section_norm(op).value))\n"
     )
     src = str(Path(cesarobench.__file__).resolve().parent.parent)
     outputs = []
+    reports = []
     for threads in ("1", "2"):
+        out_dir = tmp_path / f"blas-{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
         done = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env, capture_output=True, text=True, check=True, timeout=120,
+            [sys.executable, "-c", script, str(config), str(out_dir)],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
         )
-        outputs.append(done.stdout.strip())
+        outputs.append(done.stdout)
+        reports.append(
+            [(out_dir / name).read_bytes() for name in ("report.json", "report.csv")]
+        )
     assert outputs[0] == outputs[1], outputs
+    assert reports[0] == reports[1]
