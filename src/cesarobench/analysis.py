@@ -344,7 +344,12 @@ def classify_compactness(
 
 @dataclass(frozen=True)
 class EquivalenceConfig:
-    """Grid budgets shared by the engines during an equivalence check."""
+    """Grid budgets shared by the engines during an equivalence check.
+
+    Each budget is range-checked by the engine that uses it, on its first
+    call: grid_depth by classify_carleson, n_max by classify_moments,
+    sizes by norm_growth_profile and tol by section_norm.
+    """
 
     grid_depth: int = 30
     n_max: int = 1 << 20
@@ -352,10 +357,6 @@ class EquivalenceConfig:
     compact_size: int = 8192
     m_list: tuple[int, ...] = tuple(16 << k for k in range(6))
     tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)

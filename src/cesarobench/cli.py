@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .analysis import (
     EquivalenceConfig,
+    carleson_exponent,
     evaluate_panel,
     reports_to_csv,
     reports_to_json,
@@ -71,43 +72,23 @@ DEFAULT_MEASURES = (
     ("powlaw_sub", "powlaw(c=1.0, gamma={s-0.5}, delta=0.0)"),
 )
 
-_DEFAULTS = EquivalenceConfig()
-
-
 @dataclass(frozen=True)
 class PanelConfig:
-    """Named measure templates, space pairs, and grid budgets for verify."""
+    """Named measure templates, space pairs, and the engines' budgets.
+
+    Only emptiness is checked here: the pair range by carleson_exponent in
+    build_panel, each budget by the engine that uses it.
+    """
 
     measures: tuple[tuple[str, str], ...] = DEFAULT_MEASURES
     pairs: tuple[tuple[float, float], ...] = DEFAULT_PAIRS
-    sizes: tuple[int, ...] = _DEFAULTS.sizes
-    tol: float = _DEFAULTS.tol
-    grid_depth: int = _DEFAULTS.grid_depth
-    n_max: int = _DEFAULTS.n_max
+    equivalence: EquivalenceConfig = EquivalenceConfig()
 
     def __post_init__(self) -> None:
         if not self.measures:
             raise ConfigError("no measures configured")
         if not self.pairs:
             raise ConfigError("no space pairs configured")
-        for alpha, beta in self.pairs:
-            if not (0.0 < alpha < 2.0 and 0.0 < beta < 2.0):
-                raise ConfigError(
-                    f"pair ({alpha}, {beta}) out of range: both indices "
-                    "must lie in (0, 2)"
-                )
-        if not self.sizes or any(
-            b <= a for a, b in zip(self.sizes, self.sizes[1:])
-        ):
-            raise ConfigError("sizes must be strictly increasing")
-        if self.sizes[0] < 1:
-            raise ConfigError("sizes must be positive")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
-        if self.grid_depth < 8:
-            raise ConfigError("grid_depth must be at least 8")
-        if self.n_max < 64:
-            raise ConfigError("n_max must be at least 64")
 
 
 def default_config() -> PanelConfig:
@@ -122,8 +103,10 @@ def load_config(path: str) -> PanelConfig:
 
     [panel] keys (all optional): pairs as semicolon-separated alpha,beta;
     sizes as comma-separated integers; tol, grid_depth, n_max scalars.
-    [measures] maps entry names to measure expressions, which may use
-    {s...} placeholders.  Omitted parts fall back to the default panel.
+    The last four become the panel's EquivalenceConfig and are checked
+    only by the engines that use them.  [measures] maps entry names to
+    measure expressions, which may use {s...} placeholders.  Omitted parts
+    fall back to the default panel.
     """
     import configparser
 
@@ -141,6 +124,7 @@ def load_config(path: str) -> PanelConfig:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
     kwargs: dict = {}
+    budgets: dict = {}
     if parser.has_section("panel"):
         panel = parser["panel"]
         bad = set(panel) - set(_PANEL_KEYS)
@@ -157,15 +141,13 @@ def load_config(path: str) -> PanelConfig:
                     pairs.append((a, b))
                 kwargs["pairs"] = tuple(pairs)
             if "sizes" in panel:
-                kwargs["sizes"] = tuple(
-                    int(x) for x in panel["sizes"].split(",") if x.strip()
-                )
+                budgets["sizes"] = _parse_sizes(panel["sizes"])
             if "tol" in panel:
-                kwargs["tol"] = float(panel["tol"])
+                budgets["tol"] = float(panel["tol"])
             if "grid_depth" in panel:
-                kwargs["grid_depth"] = int(panel["grid_depth"])
+                budgets["grid_depth"] = int(panel["grid_depth"])
             if "n_max" in panel:
-                kwargs["n_max"] = int(panel["n_max"])
+                budgets["n_max"] = int(panel["n_max"])
         except ValueError as exc:
             raise ConfigError(f"malformed [panel] value: {exc}") from exc
     if parser.has_section("measures"):
@@ -173,7 +155,7 @@ def load_config(path: str) -> PanelConfig:
         if not entries:
             raise ConfigError("[measures] section is empty")
         kwargs["measures"] = entries
-    return PanelConfig(**kwargs)
+    return PanelConfig(equivalence=EquivalenceConfig(**budgets), **kwargs)
 
 
 _PLACEHOLDER = re.compile(
@@ -202,11 +184,10 @@ def build_panel(config: PanelConfig) -> list:
     entries = []
     for name, template in config.measures:
         for alpha, beta in config.pairs:
-            s = 1.0 + (alpha - beta) / 2.0
-            expr = substitute_exponent(template, s)
             try:
-                m = parse_measure(expr)
-            except MeasureParseError as exc:
+                s = carleson_exponent(alpha, beta)
+                m = parse_measure(substitute_exponent(template, s))
+            except ValueError as exc:
                 raise ConfigError(
                     f"measure {name!r} at pair ({alpha}, {beta}): {exc}"
                 ) from exc
@@ -290,14 +271,7 @@ def cmd_norm_growth(
 def cmd_verify(config_path: str | None, out_dir: str) -> int:
     """Run the equivalence panel and write report.json / report.csv."""
     config = default_config() if config_path is None else load_config(config_path)
-    entries = build_panel(config)
-    eq_config = EquivalenceConfig(
-        grid_depth=config.grid_depth,
-        n_max=config.n_max,
-        sizes=config.sizes,
-        tol=config.tol,
-    )
-    named = evaluate_panel(entries, eq_config)
+    named = evaluate_panel(build_panel(config), config.equivalence)
 
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -327,7 +301,7 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
-        raise ConfigError(f"malformed --sizes value {text!r}") from exc
+        raise ConfigError(f"malformed sizes value {text!r}") from exc
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -100,9 +100,6 @@ class Measure:
     def __add__(self, other: "Measure") -> "Measure":
         return Measure(self.atoms + other.atoms, self.densities + other.densities)
 
-    def total_mass(self) -> float:
-        return tail(self, 0.0)
-
 
 # ---------------------------------------------------------------------------
 # Parsing / formatting

@@ -164,8 +164,8 @@ def section_norm(
     differ by less than tol.  Non-convergence is reported through
     residual > tol, never raised.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
 

@@ -161,7 +161,9 @@ def truncated_geometric_family(alpha: SpaceIndex, b: float, n_top: int) -> Coeff
         raise ValueError("n_top must be nonnegative")
     k_plus_1 = np.arange(1, n_top + 2, dtype=float)
     powers = b**k_plus_1
-    omega = float(np.dot(k_plus_1 ** (1.0 - alpha.alpha), powers * powers))
+    # fsum, as in norm(), keeps omega independent of the BLAS thread count.
+    terms = k_plus_1 ** (1.0 - alpha.alpha) * (powers * powers)
+    omega = math.fsum(terms.tolist())
     return CoeffVec(powers / math.sqrt(omega))
 
 

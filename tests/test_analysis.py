@@ -18,10 +18,8 @@ from hypothesis import strategies as st
 
 from cesarobench.analysis import (
     COMPACT_SLOPE_THRESHOLD,
-    DEADBAND,
     NORM_DEADBAND,
     EquivalenceConfig,
-    Prop1Bound,
     Verdict,
     carleson_exponent,
     check_equivalence,

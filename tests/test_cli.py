@@ -55,16 +55,9 @@ class TestPanelConfig:
         assert config.pairs == DEFAULT_PAIRS
 
     def test_bad_pair_named_in_error(self) -> None:
+        config = PanelConfig(pairs=((1.0, 1.0), (2.5, 1.0)))
         with pytest.raises(ConfigError, match=r"\(2\.5, 1\.0\)"):
-            PanelConfig(pairs=((1.0, 1.0), (2.5, 1.0)))
-
-    def test_bad_sizes(self) -> None:
-        with pytest.raises(ConfigError, match="sizes"):
-            PanelConfig(sizes=(64, 64))
-
-    def test_bad_tol(self) -> None:
-        with pytest.raises(ConfigError, match="tol"):
-            PanelConfig(tol=0.0)
+            build_panel(config)
 
     def test_empty_measures(self) -> None:
         with pytest.raises(ConfigError, match="measures"):
@@ -88,10 +81,10 @@ class TestLoadConfig:
         )
         config = load_config(str(path))
         assert config.pairs == ((1.0, 1.0), (1.5, 0.5))
-        assert config.sizes == (64, 128, 256)
-        assert config.tol == 1e-8
-        assert config.grid_depth == 12
-        assert config.n_max == 16384
+        assert config.equivalence.sizes == (64, 128, 256)
+        assert config.equivalence.tol == 1e-8
+        assert config.equivalence.grid_depth == 12
+        assert config.equivalence.n_max == 16384
         assert config.measures == (
             ("crit", "powlaw(c=1.0, gamma={s-1}, delta=0.0)"),
             ("leb", "lebesgue"),
@@ -103,7 +96,7 @@ class TestLoadConfig:
         config = load_config(str(path))
         assert config.measures == (("leb", "lebesgue"),)
         assert config.pairs == DEFAULT_PAIRS
-        assert config.n_max == default_config().n_max
+        assert config.equivalence == default_config().equivalence
 
     def test_unknown_section_rejected(self, tmp_path) -> None:
         path = tmp_path / "panel.ini"
@@ -301,37 +294,26 @@ class TestCmdNormGrowth:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("N,norm,method,iterations,residual\n")
 
+    @staticmethod
+    def _error_exit(capsys, *flags: str) -> str:
+        assert main(["norm-growth", "--measure", "lebesgue", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        return err
+
     def test_bad_sizes_exit_2(self, capsys) -> None:
-        rc = main(
-            [
-                "norm-growth",
-                "--measure",
-                "lebesgue",
-                "--alpha",
-                "1.0",
-                "--beta",
-                "1.0",
-                "--sizes",
-                "64,xyz",
-            ]
-        )
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        self._error_exit(capsys, "--alpha", "1.0", "--beta", "1.0", "--sizes", "64,xyz")
 
     def test_bad_alpha_exit_2(self, capsys) -> None:
-        rc = main(
-            [
-                "norm-growth",
-                "--measure",
-                "lebesgue",
-                "--alpha",
-                "nan",
-                "--beta",
-                "1.0",
-            ]
+        self._error_exit(capsys, "--alpha", "nan", "--beta", "1.0")
+
+    def test_nan_tol_exit_2(self, capsys) -> None:
+        # NaN fails every comparison, so only an explicit finiteness check
+        # keeps it from running every size to the iteration cap.
+        err = self._error_exit(
+            capsys, "--alpha", "1.0", "--beta", "1.0", "--sizes", "64,128", "--tol", "nan"
         )
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        assert "tol" in err
 
 
 SMALL_CONFIG = (
@@ -382,6 +364,33 @@ class TestCmdVerify:
         assert rc == 2
         err = capsys.readouterr().err
         assert "(2.5, 1.0)" in err
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("sizes = 64,64", "sizes"),
+            ("tol = 0", "tol"),
+            ("tol = nan", "tol"),
+            ("grid_depth = 4", "grid_depth"),
+            ("n_max = 10", "n_max"),
+        ],
+        ids=["sizes", "tol_zero", "tol_nan", "grid_depth", "n_max"],
+    )
+    def test_bad_budget_exit_2(self, tmp_path, capsys, line, field) -> None:
+        # Each budget is checked by its engine on the first panel entry,
+        # before any report is written.
+        config = tmp_path / "panel.ini"
+        config.write_text(
+            f"[panel]\npairs = 1.0,1.0\n{line}\n[measures]\nleb = lebesgue\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "reports"
+        rc = main(["verify", "--config", str(config), "--out", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert field in err
+        assert not (out_dir / "report.json").exists()
 
     def test_missing_config_exit_2(self, tmp_path, capsys) -> None:
         rc = main(

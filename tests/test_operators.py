@@ -236,8 +236,9 @@ class TestSectionNorm:
 
     def test_argument_validation(self):
         op = SectionOp(LEB, S1, S1, 4)
-        with pytest.raises(ValueError):
-            section_norm(op, tol=0.0)
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                section_norm(op, tol=tol)
         with pytest.raises(ValueError):
             section_norm(op, max_iter=0)
         with pytest.raises(ValueError):
@@ -300,9 +301,10 @@ class TestGrowthProfile:
 
 
 def test_power_iteration_norm_ignores_blas_threads(tmp_path):
-    # The reductions in the power iteration avoid BLAS, whose summation
-    # order can depend on the number of threads, so a whole verify run
-    # and one large section are byte-identical under 1 and 2 BLAS threads.
+    # The reductions in the power iteration and in the geometric family's
+    # normalizer avoid BLAS, whose summation order can depend on the number
+    # of threads, so a whole verify run, one large section and one long
+    # geometric packet are byte-identical under 1 and 2 BLAS threads.
     # Small sections run single-threaded in BLAS anyway; the sizes reach
     # 2^17 so that a BLAS reduction would show in the reports too.
     config = tmp_path / "panel.ini"
@@ -323,11 +325,13 @@ def test_power_iteration_norm_ignores_blas_threads(tmp_path):
         "from cesarobench.cli import main\n"
         "from cesarobench.measures import parse_measure\n"
         "from cesarobench.operators import SectionOp, section_norm\n"
-        "from cesarobench.spaces import SpaceIndex\n"
+        "from cesarobench.spaces import SpaceIndex, truncated_geometric_family\n"
         "assert main(['verify', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
         "m = parse_measure('powlaw(c=1,gamma=-0.5,delta=0)')\n"
         "op = SectionOp(m, SpaceIndex(0.5), SpaceIndex(1.5), 131072)\n"
         "print(repr(section_norm(op).value))\n"
+        "f = truncated_geometric_family(SpaceIndex(0.7), 0.9999, 20000)\n"
+        "print(repr(float(f.coeffs[0])))\n"
     )
     src = str(Path(cesarobench.__file__).resolve().parent.parent)
     outputs = []
