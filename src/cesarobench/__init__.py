@@ -47,7 +47,6 @@ from .operators import (
     profile_to_csv,
     section_norm,
     tail_section,
-    truncate,
 )
 from .spaces import (
     CoeffVec,
@@ -86,7 +85,6 @@ __all__ = [
     "SectionOp",
     "OpNormEstimate",
     "apply",
-    "truncate",
     "tail_section",
     "section_norm",
     "norm_growth_profile",

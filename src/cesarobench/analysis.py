@@ -44,6 +44,8 @@ __all__ = [
     "NORM_DEADBAND",
     "COMPACT_SLOPE_THRESHOLD",
     "COMPACT_LEVEL_THRESHOLD",
+    "COMPACT_SIZE",
+    "COMPACT_TRUNCATIONS",
     "Verdict",
     "EquivalenceConfig",
     "EquivalenceReport",
@@ -84,6 +86,10 @@ NORM_DEADBAND = 0.08
 # thresholds sit between those clusters, and both signals must agree.
 COMPACT_SLOPE_THRESHOLD = -0.15
 COMPACT_LEVEL_THRESHOLD = 0.4
+
+# The budget those thresholds were calibrated at; they hold for no other.
+COMPACT_SIZE = 8192
+COMPACT_TRUNCATIONS = tuple(16 << k for k in range(6))
 
 # A tail norm this small relative to the full norm is compact evidence on
 # its own (atom-type measures fall to 0 or denormal territory).
@@ -281,45 +287,33 @@ def classify_compactness(
     m: Measure,
     alpha: float,
     beta: float,
-    n: int = 8192,
-    m_list=None,
+    boundedness: Verdict,
     tol: float = 1e-9,
-    boundedness: Verdict | None = None,
 ) -> Verdict:
     """Tail-operator engine: norms of the rows-above-M remainder on the
-    size-n section.
+    size-COMPACT_SIZE section, for M in COMPACT_TRUNCATIONS.
 
-    Compactness presumes boundedness, so a norm verdict is computed first
-    (or accepted via `boundedness`) and anything not bounded is rejected.
-    The verdict needs both signals from the calibration note on the
+    Compactness presumes boundedness, so the norm engine's verdict is
+    passed in as `boundedness` and anything not bounded is rejected.  The
+    verdict needs both signals from the calibration note on the
     thresholds: decaying tail-norm slope and a small final tail/full level
     for compact; shallow slope and a high level for not compact; mixed or
-    boundary-grazing signals are inconclusive.  m_list must stay well below
-    n (n >= 8*max) or the section window itself strangles the tail
-    operator and fakes decay on non-compact measures.
+    boundary-grazing signals are inconclusive.
     """
     carleson_exponent(alpha, beta)
-    if m_list is None:
-        m_list = tuple(16 * (1 << k) for k in range(0, 6) if 16 * (1 << k) <= n // 16)
-    m_list = [int(v) for v in m_list]
-    if not m_list or any(b <= a for a, b in zip(m_list, m_list[1:])):
-        raise ValueError("m_list must be nonempty and strictly increasing")
-    if m_list[-1] >= n:
-        raise ValueError("m_list entries must stay below the section size")
-    if n < 8 * m_list[-1]:
-        raise ValueError("section size must be at least 8x the deepest truncation")
-    if boundedness is None:
-        boundedness = classify_boundedness(m, alpha, beta, tol=tol)
     if boundedness.status != "bounded":
         raise ValueError(
             "compactness requires a bounded operator; norm engine said "
             f"{boundedness.status}"
         )
 
-    op = SectionOp(m, SpaceIndex(alpha), SpaceIndex(beta), n)
+    op = SectionOp(m, SpaceIndex(alpha), SpaceIndex(beta), COMPACT_SIZE)
     full = section_norm(op, tol=tol).value
-    tails = [section_norm(tail_section(op, mm), tol=tol).value for mm in m_list]
-    evidence = tuple((float(mm), v) for mm, v in zip(m_list, tails))
+    tails = [
+        section_norm(tail_section(op, mm), tol=tol).value
+        for mm in COMPACT_TRUNCATIONS
+    ]
+    evidence = tuple((float(mm), v) for mm, v in zip(COMPACT_TRUNCATIONS, tails))
 
     if full == 0.0 or tails[-1] <= COMPACT_LEVEL_FLOOR * full:
         return Verdict("compactness", "vanishing", evidence, -math.inf, 0.0)
@@ -328,7 +322,8 @@ def classify_compactness(
     if min(window) <= 0.0:
         return Verdict("compactness", "vanishing", evidence, -math.inf, 0.0)
     slope, stderr = _fit_slope(
-        [math.log(mm) for mm in m_list[half:]], [math.log(v) for v in window]
+        [math.log(mm) for mm in COMPACT_TRUNCATIONS[half:]],
+        [math.log(v) for v in window],
     )
     level = tails[-1] / full
     if abs(slope - COMPACT_SLOPE_THRESHOLD) <= stderr:
@@ -348,14 +343,14 @@ class EquivalenceConfig:
 
     Each budget is range-checked by the engine that uses it, on its first
     call: grid_depth by classify_carleson, n_max by classify_moments,
-    sizes by norm_growth_profile and tol by section_norm.
+    sizes by norm_growth_profile and tol by section_norm.  The compactness
+    engine runs at its calibrated budget, COMPACT_SIZE and
+    COMPACT_TRUNCATIONS, which is not configurable.
     """
 
     grid_depth: int = 30
     n_max: int = 1 << 20
     sizes: tuple[int, ...] = _DEFAULT_SIZES
-    compact_size: int = 8192
-    m_list: tuple[int, ...] = tuple(16 << k for k in range(6))
     tol: float = 1e-9
 
 
@@ -413,13 +408,7 @@ def check_equivalence(
         norm_v = verdicts["norm"]
         if norm_v.status == "bounded":
             verdicts["compactness"] = classify_compactness(
-                m,
-                alpha,
-                beta,
-                config.compact_size,
-                config.m_list,
-                config.tol,
-                boundedness=norm_v,
+                m, alpha, beta, norm_v, config.tol
             )
             if verdicts["compactness"].status == "inconclusive":
                 warnings.append("compactness engine inconclusive")

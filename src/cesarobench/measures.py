@@ -12,7 +12,7 @@ The textual form is::
             | "powlaw(c=" c ",gamma=" g ",delta=" d ")"
             | "lebesgue"                      # powlaw(c=1,gamma=0,delta=0)
 
-with decimal literals (scientific notation accepted) and whitespace
+with finite decimal literals (scientific notation accepted) and whitespace
 ignored between tokens.
 """
 
@@ -66,6 +66,7 @@ class Measure:
     atoms: tuples (t0, mass) with t0 in [0,1), mass > 0.
     densities: tuples (c, gamma, delta) for c (1-t)^gamma t^delta dt
         with c > 0, gamma > -1, delta >= 0.
+    Every mass, c, gamma and delta is finite.
     """
 
     atoms: tuple[tuple[float, float], ...] = field(default=())
@@ -75,15 +76,21 @@ class Measure:
         for t0, mass in self.atoms:
             if not (0.0 <= t0 < 1.0):
                 raise ValueError(f"atom position must lie in [0,1), got {t0!r}")
-            if not mass > 0.0:
-                raise ValueError(f"atom mass must be positive, got {mass!r}")
+            if not 0.0 < mass < math.inf:
+                raise ValueError(f"atom mass must be finite and positive, got {mass!r}")
         for c, gamma, delta in self.densities:
-            if not c > 0.0:
-                raise ValueError(f"density coefficient must be positive, got {c!r}")
-            if not gamma > -1.0:
-                raise ValueError(f"density exponent gamma must exceed -1, got {gamma!r}")
-            if not delta >= 0.0:
-                raise ValueError(f"density exponent delta must be >= 0, got {delta!r}")
+            if not 0.0 < c < math.inf:
+                raise ValueError(
+                    f"density coefficient must be finite and positive, got {c!r}"
+                )
+            if not -1.0 < gamma < math.inf:
+                raise ValueError(
+                    f"density exponent gamma must be finite and exceed -1, got {gamma!r}"
+                )
+            if not 0.0 <= delta < math.inf:
+                raise ValueError(
+                    f"density exponent delta must be finite and >= 0, got {delta!r}"
+                )
 
     @staticmethod
     def lebesgue() -> "Measure":
@@ -153,7 +160,10 @@ class _Scanner:
         if not m:
             raise MeasureSyntaxError("expected a number", self.pos)
         self.pos = m.end()
-        return float(m.group()), m.group(), m.start()
+        value = float(m.group())
+        if not math.isfinite(value):
+            raise MeasureSemanticError("number must be finite", m.group(), m.start())
+        return value, m.group(), m.start()
 
 
 def _parse_keyword_number(sc: _Scanner, key: str) -> tuple[float, str, int]:
@@ -328,28 +338,30 @@ _GL_ORDER = 24
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-def _panel_edges(m: Measure, quad_points: int) -> np.ndarray:
-    # Depth beyond 45 produces panels at the resolution limit of doubles
-    # near 1; the skipped sliver is O(2^-45) * integrand and never matters
-    # at the 1e-7 contract.
-    depth = min(quad_points, 45)
+# Dyadic panel depth toward 1.  Depth beyond 45 produces panels at the
+# resolution limit of doubles near 1; the skipped sliver is O(2^-45) *
+# integrand and never matters at the 1e-7 contract.
+_PANEL_DEPTH = 45
+
+
+def _panel_edges(m: Measure) -> np.ndarray:
     edges = {0.0, 1.0}
-    edges.update(1.0 - 0.5**j for j in range(1, depth + 1))
+    edges.update(1.0 - 0.5**j for j in range(1, _PANEL_DEPTH + 1))
     edges.update(t0 for t0, _ in m.atoms)
     return np.array(sorted(edges))
 
 
-def moment_by_parts(m: Measure, n: int, quad_points: int = 48) -> float:
+def moment_by_parts(m: Measure, n: int) -> float:
     """mu[n] recomputed as n * int_0^1 t^{n-1} mu([t,1)) dt, n >= 1.
 
     Composite Gauss-Legendre over panels refined dyadically toward 1
-    (quad_points is the dyadic panel budget), with atom locations as
-    extra breakpoints since the tail jumps there.  Serves as an
-    independent cross-check of moment().
+    (_PANEL_DEPTH levels), with atom locations as extra breakpoints since
+    the tail jumps there.  Serves as an independent cross-check of
+    moment().
     """
     if n < 1:
         raise ValueError("integration by parts requires n >= 1")
-    edges = _panel_edges(m, quad_points)
+    edges = _panel_edges(m)
     nodes_all = []
     weights_all = []
     for a, b in zip(edges[:-1], edges[1:]):

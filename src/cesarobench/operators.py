@@ -29,7 +29,6 @@ __all__ = [
     "SectionOp",
     "OpNormEstimate",
     "apply",
-    "truncate",
     "tail_section",
     "section_norm",
     "norm_growth_profile",
@@ -38,18 +37,16 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SectionOp:
-    """Size-N section of the operator, with an output-row window.
+    """Size-N section of the operator, zero on output rows below first_row.
 
-    The window `rows` is half-open: output entries with index outside
-    [rows[0], rows[1]) are zero.  A full section has rows == (0, size);
-    truncations narrow the window from above and their complementary tail
-    operators narrow it from below.
+    A full section has first_row == 0; the tail operator that remains
+    after truncating at row m starts at row m + 1 (see tail_section).
 
     `moments` holds mu_0, ..., mu_{size-1}.  Left out, it is computed as
     moment_sequence(measure, size).  A caller that already holds
     moment_sequence(measure, N) for some N >= size may pass that array
     instead; the section keeps a read-only view of its first `size`
-    entries, so nested sections and the truncations made through
+    entries, so nested sections and the tail sections made through
     dataclasses.replace share one array and never recompute it.
     """
 
@@ -57,18 +54,16 @@ class SectionOp:
     alpha: SpaceIndex
     beta: SpaceIndex
     size: int
-    rows: tuple[int, int] | None = None
+    first_row: int = 0
     moments: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("section size must be positive")
-        rows = (0, self.size) if self.rows is None else (
-            int(self.rows[0]),
-            int(self.rows[1]),
-        )
-        if not 0 <= rows[0] <= rows[1] <= self.size:
-            raise ValueError(f"row window {rows} out of range for size {self.size}")
+        if not 0 <= self.first_row <= self.size:
+            raise ValueError(
+                f"first row {self.first_row} out of range [0, {self.size}]"
+            )
         if self.moments is None:
             moments = moment_sequence(self.measure, self.size)
         else:
@@ -80,7 +75,6 @@ class SectionOp:
                 )
             moments = moments[: self.size]
         moments.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "moments", moments)
 
 
@@ -112,7 +106,7 @@ def apply(op: SectionOp, f: CoeffVec) -> CoeffVec:
 
     Computed with one running prefix sum, in the same left-to-right
     addition order as the literal double loop, so the two agree bitwise.
-    Output has length op.size with zeros outside the row window.
+    Output has length op.size with zeros below op.first_row.
     """
     a = f.coeffs
     if a.size > op.size:
@@ -120,36 +114,24 @@ def apply(op: SectionOp, f: CoeffVec) -> CoeffVec:
     padded = np.zeros(op.size)
     padded[: a.size] = a
     out = op.moments * np.cumsum(padded)
-    lo, hi = op.rows
-    out[:lo] = 0.0
-    out[hi:] = 0.0
+    out[: op.first_row] = 0.0
     return CoeffVec(out)
-
-
-def truncate(op: SectionOp, m: int) -> SectionOp:
-    """Keep output rows 0..m only; rows above m become zero."""
-    if not 0 <= m < op.size:
-        raise ValueError(f"truncation row {m} out of range [0, {op.size})")
-    lo, hi = op.rows
-    return replace(op, rows=(lo, min(hi, m + 1)))
 
 
 def tail_section(op: SectionOp, m: int) -> SectionOp:
     """Complementary rows above m: the operator minus its truncation at m."""
     if not 0 <= m < op.size:
         raise ValueError(f"truncation row {m} out of range [0, {op.size})")
-    lo, hi = op.rows
-    return replace(op, rows=(max(lo, m + 1), hi))
+    return replace(op, first_row=max(op.first_row, m + 1))
 
 
 def _conjugation_weights(op: SectionOp) -> tuple[np.ndarray, np.ndarray]:
-    """Column weights (k+1)^(-(1-alpha)/2) and windowed row weights."""
+    """Column weights (k+1)^(-(1-alpha)/2) and row weights, zero below
+    op.first_row."""
     idx = np.arange(1, op.size + 1, dtype=float)
     w_in = idx ** (-(1.0 - op.alpha.alpha) / 2.0)
     w_out = idx ** ((1.0 - op.beta.alpha) / 2.0) * op.moments
-    lo, hi = op.rows
-    w_out[:lo] = 0.0
-    w_out[hi:] = 0.0
+    w_out[: op.first_row] = 0.0
     return w_in, w_out
 
 

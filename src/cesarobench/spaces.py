@@ -14,8 +14,6 @@ family whose mass escapes to high indices as the base approaches 1.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -91,28 +89,6 @@ class CoeffVec:
         head = ", ".join(repr(v) for v in self._coeffs[:4])
         tail = ", ..." if len(self) > 4 else ""
         return f"CoeffVec([{head}{tail}], n={len(self)})"
-
-    def to_csv(self) -> str:
-        """Serialize as a two-column CSV body with an index,value header."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "value"])
-        for i, v in enumerate(self._coeffs):
-            writer.writerow([i, repr(float(v))])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "CoeffVec":
-        """Inverse of to_csv; round-trips every finite double exactly."""
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["index", "value"]:
-            raise ValueError("expected an index,value header row")
-        values = []
-        for expected, row in enumerate(rows[1:]):
-            if len(row) != 2 or int(row[0]) != expected:
-                raise ValueError(f"malformed row {expected + 1}: {row!r}")
-            values.append(float(row[1]))
-        return cls(values)
 
 
 def norm(f: CoeffVec, s: SpaceIndex) -> float:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cesarobench.analysis import (
+    COMPACT_SIZE,
     COMPACT_SLOPE_THRESHOLD,
     NORM_DEADBAND,
     EquivalenceConfig,
@@ -47,8 +48,6 @@ FAST_CONFIG = EquivalenceConfig(
     grid_depth=12,
     n_max=1 << 14,
     sizes=FAST_SIZES,
-    compact_size=2048,
-    m_list=(16, 32, 64, 128),
 )
 BOUNDED_OK = Verdict("norm", "bounded", ((1.0, 1.0),), 0.0, 0.0)
 
@@ -227,52 +226,31 @@ class TestClassifyCompactness:
     def test_requires_bounded(self) -> None:
         with pytest.raises(ValueError, match="bounded"):
             classify_compactness(
-                LEBESGUE, 1.5, 0.5, 2048, (16, 32, 64, 128),
-                boundedness=Verdict("norm", "unbounded", ((1.0, 1.0),), 0.5, 0.0),
+                LEBESGUE, 1.5, 0.5,
+                Verdict("norm", "unbounded", ((1.0, 1.0),), 0.5, 0.0),
             )
 
     def test_atom_hits_floor(self) -> None:
-        v = classify_compactness(
-            ATOM_HALF, 1.0, 1.0, 2048, (16, 32, 64, 128), boundedness=BOUNDED_OK
-        )
+        v = classify_compactness(ATOM_HALF, 1.0, 1.0, BOUNDED_OK)
         assert v.status == "vanishing"
         assert v.kind == "compact"
         assert v.fitted_slope == -math.inf
 
     def test_critical_not_compact(self) -> None:
-        v = classify_compactness(
-            LEBESGUE, 1.0, 1.0, 2048, (16, 32, 64, 128), boundedness=BOUNDED_OK
-        )
+        v = classify_compactness(LEBESGUE, 1.0, 1.0, BOUNDED_OK)
         assert v.status == "bounded"
         assert v.kind == "not_compact"
         assert v.fitted_slope > COMPACT_SLOPE_THRESHOLD
         # Tail norms stay comparable to the full norm.
-        op = SectionOp(LEBESGUE, SpaceIndex(1.0), SpaceIndex(1.0), 2048)
+        op = SectionOp(LEBESGUE, SpaceIndex(1.0), SpaceIndex(1.0), COMPACT_SIZE)
         full = section_norm(op).value
         assert v.evidence[-1][1] > 0.5 * full
 
     def test_vanishing_type_compact(self) -> None:
-        v = classify_compactness(
-            LEBESGUE, 0.5, 1.5, 2048, (16, 32, 64, 128), boundedness=BOUNDED_OK
-        )
+        v = classify_compactness(LEBESGUE, 0.5, 1.5, BOUNDED_OK)
         assert v.status == "vanishing"
         assert v.kind == "compact"
         assert v.fitted_slope < COMPACT_SLOPE_THRESHOLD
-
-    def test_validation(self) -> None:
-        with pytest.raises(ValueError):
-            classify_compactness(
-                LEBESGUE, 1.0, 1.0, 2048, (32, 16), boundedness=BOUNDED_OK
-            )
-        with pytest.raises(ValueError):
-            classify_compactness(
-                LEBESGUE, 1.0, 1.0, 2048, (16, 4096), boundedness=BOUNDED_OK
-            )
-        with pytest.raises(ValueError):
-            # Deepest truncation too close to the section size.
-            classify_compactness(
-                LEBESGUE, 1.0, 1.0, 2048, (16, 512), boundedness=BOUNDED_OK
-            )
 
 
 class TestVerdict:

@@ -307,6 +307,15 @@ class TestCmdNormGrowth:
     def test_bad_alpha_exit_2(self, capsys) -> None:
         self._error_exit(capsys, "--alpha", "nan", "--beta", "1.0")
 
+    def test_nonfinite_measure_exit_2(self, capsys) -> None:
+        argv = ["norm-growth", "--measure", "atom(0.5,1e999)",
+                "--alpha", "1.0", "--beta", "1.0", "--sizes", "16,32"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "1e999" in captured.err
+        assert captured.out == ""
+
     def test_nan_tol_exit_2(self, capsys) -> None:
         # NaN fails every comparison, so only an explicit finiteness check
         # keeps it from running every size to the iteration cap.
@@ -390,6 +399,22 @@ class TestCmdVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert field in err
+        assert not (out_dir / "report.json").exists()
+
+    def test_nonfinite_measure_exit_2(self, tmp_path, capsys) -> None:
+        # 1e999 parses to inf; unchecked, every engine would run on an
+        # infinite atom and the panel would report a false DISAGREE.
+        config = tmp_path / "panel.ini"
+        config.write_text(
+            "[panel]\npairs = 1.0,1.0\n[measures]\nbig = atom(0.5,1e999)\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "reports"
+        rc = main(["verify", "--config", str(config), "--out", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "1e999" in err
         assert not (out_dir / "report.json").exists()
 
     def test_missing_config_exit_2(self, tmp_path, capsys) -> None:

@@ -68,6 +68,29 @@ class TestParser:
         with pytest.raises(MeasureSemanticError):
             parse_measure("powlaw(c=1,gamma=0,delta=-0.5)")
 
+    def test_nonfinite_literal_rejected(self):
+        for expr, token in (
+            ("atom(0.5,1e999)", "1e999"),
+            ("powlaw(c=1e999,gamma=0,delta=0)", "1e999"),
+            ("powlaw(c=1,gamma=2e400,delta=0)", "2e400"),
+            ("lebesgue + atom(0.5, -1E+999)", "-1E+999"),
+        ):
+            with pytest.raises(MeasureSemanticError, match="finite") as exc:
+                parse_measure(expr)
+            assert exc.value.token == token
+            assert exc.value.position == expr.index(token)
+
+    def test_measure_rejects_nonfinite_fields(self):
+        for kwargs in (
+            {"atoms": ((0.5, math.inf),)},
+            {"densities": ((math.inf, 0.0, 0.0),)},
+            {"densities": ((1.0, math.inf, 0.0),)},
+            {"densities": ((1.0, 0.0, math.inf),)},
+            {"densities": ((1.0, math.nan, 0.0),)},
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                Measure(**kwargs)
+
     def test_syntax_errors_carry_position(self):
         with pytest.raises(MeasureSyntaxError) as exc:
             parse_measure("atom(0.5 1.0)")

@@ -1,4 +1,4 @@
-"""Section operators: application, truncation windows, norm estimation."""
+"""Section operators: application, tail sections, norm estimation."""
 
 import math
 import os
@@ -22,7 +22,6 @@ from cesarobench.operators import (
     profile_to_csv,
     section_norm,
     tail_section,
-    truncate,
 )
 from cesarobench.spaces import CoeffVec, SpaceIndex
 
@@ -32,12 +31,11 @@ S1 = SpaceIndex(1.0)
 
 def brute_force_apply(op: SectionOp, f: np.ndarray) -> np.ndarray:
     out = np.zeros(op.size)
-    lo, hi = op.rows
     for n in range(op.size):
         acc = 0.0
         for k in range(min(n + 1, f.size)):
             acc += f[k]
-        if lo <= n < hi:
+        if n >= op.first_row:
             out[n] = op.moments[n] * acc
     return out
 
@@ -57,9 +55,9 @@ class TestSectionOp:
         with pytest.raises(ValueError):
             SectionOp(LEB, S1, S1, 0)
         with pytest.raises(ValueError):
-            SectionOp(LEB, S1, S1, 4, rows=(3, 2))
+            SectionOp(LEB, S1, S1, 4, first_row=-1)
         with pytest.raises(ValueError):
-            SectionOp(LEB, S1, S1, 4, rows=(0, 5))
+            SectionOp(LEB, S1, S1, 4, first_row=5)
 
     def test_given_moments_are_a_read_only_prefix_view(self):
         m = parse_measure("atom(0.5,0.5)+powlaw(c=1,gamma=0,delta=0)")
@@ -133,35 +131,33 @@ class TestApply:
             apply(op, CoeffVec([1.0] * 5))
 
 
-class TestTruncate:
-    def test_full_truncation_identity(self):
-        op = SectionOp(LEB, S1, S1, 8)
-        f = CoeffVec(np.linspace(1, 2, 8))
-        assert np.array_equal(
-            apply(truncate(op, 7), f).coeffs, apply(op, f).coeffs
-        )
-
-    def test_row_zero_only(self):
-        op = SectionOp(LEB, S1, S1, 8)
-        got = apply(truncate(op, 0), CoeffVec([2.0, 3.0])).coeffs
-        assert got[0] == op.moments[0] * 2.0
-        assert np.all(got[1:] == 0.0)
-
-    def test_tail_complements_truncation(self):
+class TestTailSection:
+    def test_complements_leading_section(self):
         rng = np.random.default_rng(11)
         op = SectionOp(LEB, SpaceIndex(0.5), SpaceIndex(1.5), 64)
-        f = CoeffVec(rng.standard_normal(64))
-        full = apply(op, f).coeffs
-        head = apply(truncate(op, 20), f).coeffs
-        tail = apply(tail_section(op, 20), f).coeffs
+        f = rng.standard_normal(64)
+        full = apply(op, CoeffVec(f)).coeffs
+        lead = SectionOp(LEB, SpaceIndex(0.5), SpaceIndex(1.5), 21)
+        head = apply(lead, CoeffVec(f[:21])).coeffs
+        tail = apply(tail_section(op, 20), CoeffVec(f)).coeffs
         assert np.all(tail[:21] == 0.0)
-        assert np.all(head[21:] == 0.0)
-        assert np.array_equal(head + tail, full)
+        assert np.array_equal(np.concatenate([head, tail[21:]]), full)
 
-    def test_truncations_share_the_parent_moments(self):
+    def test_boundary_rows(self):
+        op = SectionOp(LEB, S1, S1, 8)
+        f = CoeffVec(np.linspace(1, 2, 8))
+        full = apply(op, f).coeffs
+        got = apply(tail_section(op, 0), f).coeffs
+        assert got[0] == 0.0
+        assert np.array_equal(got[1:], full[1:])
+        assert np.all(apply(tail_section(op, 7), f).coeffs == 0.0)
+        assert section_norm(tail_section(op, 7)).value == 0.0
+
+    def test_shares_the_parent_moments(self):
         op = SectionOp(LEB, SpaceIndex(0.5), SpaceIndex(1.5), 64)
-        for derived in (truncate(op, 20), tail_section(op, 20),
-                        tail_section(truncate(op, 40), 10)):
+        nested = tail_section(tail_section(op, 40), 10)
+        assert nested.first_row == 41
+        for derived in (tail_section(op, 20), nested):
             assert np.shares_memory(derived.moments, op.moments)
             assert np.array_equal(derived.moments, op.moments)
             assert not derived.moments.flags.writeable
@@ -169,8 +165,6 @@ class TestTruncate:
     def test_range_errors(self):
         op = SectionOp(LEB, S1, S1, 4)
         for bad in (-1, 4, 9):
-            with pytest.raises(ValueError):
-                truncate(op, bad)
             with pytest.raises(ValueError):
                 tail_section(op, bad)
 

@@ -69,16 +69,6 @@ class TestCoeffVec:
         with pytest.raises(ValueError):
             f.coeffs[0] = 5.0
 
-    @given(finite_coeffs)
-    @settings(max_examples=60, deadline=None)
-    def test_csv_round_trip_exact(self, coeffs):
-        f = CoeffVec(coeffs)
-        assert CoeffVec.from_csv(f.to_csv()) == f
-
-    def test_csv_rejects_bad_header(self):
-        with pytest.raises(ValueError):
-            CoeffVec.from_csv("idx,val\n0,1.0\n")
-
 
 class TestCounterexampleFamily:
     def test_first_coefficient(self):
