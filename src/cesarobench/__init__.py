@@ -36,7 +36,6 @@ from .measures import (
     moment_by_parts,
     moment_sequence,
     parse_measure,
-    tail,
     tail_values,
 )
 from .operators import (
@@ -44,7 +43,6 @@ from .operators import (
     SectionOp,
     apply,
     norm_growth_profile,
-    profile_to_csv,
     section_norm,
     tail_section,
 )
@@ -68,7 +66,6 @@ __all__ = [
     "MeasureSemanticError",
     "parse_measure",
     "format_measure",
-    "tail",
     "tail_values",
     "moment",
     "moment_sequence",
@@ -88,7 +85,6 @@ __all__ = [
     "tail_section",
     "section_norm",
     "norm_growth_profile",
-    "profile_to_csv",
     # analysis
     "Verdict",
     "EquivalenceConfig",

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import Measure, dyadic_grid, format_measure, moment, tail
+from .measures import Measure, dyadic_grid, format_measure, moment, tail_values
 from .operators import (
     SectionOp,
     norm_growth_profile,
@@ -217,7 +217,8 @@ def classify_carleson(m: Measure, s: float, grid_depth: int = 30) -> Verdict:
     if grid_depth < 8:
         raise ValueError("grid_depth must be at least 8")
     ts = [1.0 - 2.0**-j for j in range(1, grid_depth + 1)]
-    ratios = [tail(m, t) / (1.0 - t) ** s for t in ts]
+    tails = tail_values(m, ts)
+    ratios = [float(mass) / (1.0 - t) ** s for mass, t in zip(tails, ts)]
     status, slope, stderr = _slope_status(
         list(range(1, grid_depth + 1)), ratios, DEADBAND
     )

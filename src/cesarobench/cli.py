@@ -8,6 +8,10 @@ Subcommands:
   verify       the full equivalence panel from a config file (or the
                built-in default panel), written as report.json/report.csv.
 
+moments and norm-growth each build their rows once and write them through
+one table writer: --format csv gives a header line and one line per row,
+--format json the command's inputs plus a "rows" list of objects.
+
 Exit codes: 0 success, 1 falsification (some panel entry's engines
 disagree), 2 usage or config errors.  All output is deterministic:
 repeated runs on the same inputs produce byte-identical files.
@@ -16,6 +20,8 @@ repeated runs on the same inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import re
 import sys
@@ -36,7 +42,7 @@ from .measures import (
     moment_by_parts,
     parse_measure,
 )
-from .operators import norm_growth_profile, profile_to_csv
+from .operators import norm_growth_profile
 from .spaces import SpaceIndex
 
 __all__ = [
@@ -151,10 +157,7 @@ def load_config(path: str) -> PanelConfig:
         except ValueError as exc:
             raise ConfigError(f"malformed [panel] value: {exc}") from exc
     if parser.has_section("measures"):
-        entries = tuple(sorted(parser["measures"].items()))
-        if not entries:
-            raise ConfigError("[measures] section is empty")
-        kwargs["measures"] = entries
+        kwargs["measures"] = tuple(sorted(parser["measures"].items()))
     return PanelConfig(equivalence=EquivalenceConfig(**budgets), **kwargs)
 
 
@@ -195,7 +198,22 @@ def build_panel(config: PanelConfig) -> list:
     return entries
 
 
-def _write_text(out: str | None, text: str) -> None:
+def _write_table(out: str | None, fmt: str, head: dict, columns, rows) -> None:
+    """Write rows under columns to out (stdout when None).
+
+    csv is a header line of columns, then one line per row; json is head
+    plus "rows", each row an object keyed by columns.  Floats are written
+    in repr form, so every value reads back exactly.
+    """
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        doc = {**head, "rows": [dict(zip(columns, row)) for row in rows]}
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -210,27 +228,8 @@ def cmd_moments(expr: str, n_max: int, out: str | None, fmt: str = "csv") -> int
         direct = moment(m, n)
         by_parts = moment_by_parts(m, n)
         rows.append((n, direct, by_parts, abs(direct - by_parts)))
-    if fmt == "csv":
-        lines = ["n,moment,moment_by_parts,abs_diff"]
-        lines += [
-            f"{n},{direct!r},{by_parts!r},{diff!r}"
-            for n, direct, by_parts, diff in rows
-        ]
-        _write_text(out, "\n".join(lines) + "\n")
-    else:
-        doc = {
-            "measure": expr,
-            "rows": [
-                {
-                    "n": n,
-                    "moment": direct,
-                    "moment_by_parts": by_parts,
-                    "abs_diff": diff,
-                }
-                for n, direct, by_parts, diff in rows
-            ],
-        }
-        _write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    columns = ("n", "moment", "moment_by_parts", "abs_diff")
+    _write_table(out, fmt, {"measure": expr}, columns, rows)
     return 0
 
 
@@ -246,25 +245,12 @@ def cmd_norm_growth(
     """Section-norm profile over the given sizes."""
     m = parse_measure(expr)
     profile = norm_growth_profile(m, SpaceIndex(alpha), SpaceIndex(beta), sizes, tol=tol)
-    if fmt == "csv":
-        _write_text(out, profile_to_csv(profile))
-    else:
-        doc = {
-            "measure": expr,
-            "alpha": alpha,
-            "beta": beta,
-            "rows": [
-                {
-                    "N": n,
-                    "norm": est.value,
-                    "method": est.method,
-                    "iterations": est.iterations,
-                    "residual": est.residual,
-                }
-                for n, est in profile
-            ],
-        }
-        _write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    rows = [
+        (n, est.value, est.method, est.iterations, est.residual) for n, est in profile
+    ]
+    columns = ("N", "norm", "method", "iterations", "residual")
+    head = {"measure": expr, "alpha": alpha, "beta": beta}
+    _write_table(out, fmt, head, columns, rows)
     return 0
 
 

@@ -14,6 +14,12 @@ The textual form is::
 
 with finite decimal literals (scientific notation accepted) and whitespace
 ignored between tokens.
+
+One rule table per term kind (_ATOM_RULES, _DENSITY_RULES) states each
+field's bound and message once.  It drives both the parser, which checks
+every literal as soon as it reads it and raises MeasureSemanticError, and
+Measure, which checks every field and raises ValueError, so the two report
+a bad value with the same message.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ __all__ = [
     "MeasureSemanticError",
     "parse_measure",
     "format_measure",
-    "tail",
     "tail_values",
     "moment",
     "moment_sequence",
@@ -59,6 +64,21 @@ class MeasureSemanticError(MeasureParseError):
         self.token = token
 
 
+# (keyword or None, test, message) for each field of a term, in field order.
+_ATOM_RULES = (
+    (None, lambda x: 0.0 <= x < 1.0, "atom position must lie in [0,1)"),
+    (None, lambda x: 0.0 < x < math.inf, "atom mass must be finite and positive"),
+)
+_DENSITY_RULES = (
+    ("c", lambda x: 0.0 < x < math.inf,
+     "density coefficient must be finite and positive"),
+    ("gamma", lambda x: -1.0 < x < math.inf,
+     "density exponent gamma must be finite and exceed -1"),
+    ("delta", lambda x: 0.0 <= x < math.inf,
+     "density exponent delta must be finite and >= 0"),
+)
+
+
 @dataclass(frozen=True)
 class Measure:
     """Immutable atom/power-law mixture.
@@ -73,24 +93,11 @@ class Measure:
     densities: tuple[tuple[float, float, float], ...] = field(default=())
 
     def __post_init__(self):
-        for t0, mass in self.atoms:
-            if not (0.0 <= t0 < 1.0):
-                raise ValueError(f"atom position must lie in [0,1), got {t0!r}")
-            if not 0.0 < mass < math.inf:
-                raise ValueError(f"atom mass must be finite and positive, got {mass!r}")
-        for c, gamma, delta in self.densities:
-            if not 0.0 < c < math.inf:
-                raise ValueError(
-                    f"density coefficient must be finite and positive, got {c!r}"
-                )
-            if not -1.0 < gamma < math.inf:
-                raise ValueError(
-                    f"density exponent gamma must be finite and exceed -1, got {gamma!r}"
-                )
-            if not 0.0 <= delta < math.inf:
-                raise ValueError(
-                    f"density exponent delta must be finite and >= 0, got {delta!r}"
-                )
+        for rules, terms in ((_ATOM_RULES, self.atoms), (_DENSITY_RULES, self.densities)):
+            for term in terms:
+                for (_, ok, message), value in zip(rules, term, strict=True):
+                    if not ok(value):
+                        raise ValueError(f"{message}, got {value!r}")
 
     @staticmethod
     def lebesgue() -> "Measure":
@@ -160,16 +167,26 @@ class _Scanner:
         if not m:
             raise MeasureSyntaxError("expected a number", self.pos)
         self.pos = m.end()
-        value = float(m.group())
-        if not math.isfinite(value):
-            raise MeasureSemanticError("number must be finite", m.group(), m.start())
-        return value, m.group(), m.start()
+        return float(m.group()), m.group(), m.start()
 
 
-def _parse_keyword_number(sc: _Scanner, key: str) -> tuple[float, str, int]:
-    sc.expect_name(key)
-    sc.expect_punct("=")
-    return sc.number()
+def _parse_term(sc: _Scanner, rules) -> tuple[float, ...]:
+    """Read "(" field ("," field)* ")" for one rule table; each literal is
+    checked against its rule as soon as it is read."""
+    sc.expect_punct("(")
+    values = []
+    for i, (key, ok, message) in enumerate(rules):
+        if i:
+            sc.expect_punct(",")
+        if key is not None:
+            sc.expect_name(key)
+            sc.expect_punct("=")
+        value, token, position = sc.number()
+        if not ok(value):
+            raise MeasureSemanticError(message, token, position)
+        values.append(value)
+    sc.expect_punct(")")
+    return tuple(values)
 
 
 def parse_measure(expr: str) -> Measure:
@@ -185,41 +202,9 @@ def parse_measure(expr: str) -> Measure:
         if word == "lebesgue":
             densities.append((1.0, 0.0, 0.0))
         elif word == "atom":
-            sc.expect_punct("(")
-            t0, t0_tok, t0_pos = sc.number()
-            sc.expect_punct(",")
-            mass, mass_tok, mass_pos = sc.number()
-            sc.expect_punct(")")
-            if not (0.0 <= t0 < 1.0):
-                raise MeasureSemanticError(
-                    "atom position must lie in [0,1)", t0_tok, t0_pos
-                )
-            if not mass > 0.0:
-                raise MeasureSemanticError(
-                    "atom mass must be positive", mass_tok, mass_pos
-                )
-            atoms.append((t0, mass))
+            atoms.append(_parse_term(sc, _ATOM_RULES))
         elif word == "powlaw":
-            sc.expect_punct("(")
-            c, c_tok, c_pos = _parse_keyword_number(sc, "c")
-            sc.expect_punct(",")
-            gamma, g_tok, g_pos = _parse_keyword_number(sc, "gamma")
-            sc.expect_punct(",")
-            delta, d_tok, d_pos = _parse_keyword_number(sc, "delta")
-            sc.expect_punct(")")
-            if not c > 0.0:
-                raise MeasureSemanticError(
-                    "density coefficient c must be positive", c_tok, c_pos
-                )
-            if not gamma > -1.0:
-                raise MeasureSemanticError(
-                    "density exponent gamma must exceed -1", g_tok, g_pos
-                )
-            if not delta >= 0.0:
-                raise MeasureSemanticError(
-                    "density exponent delta must be >= 0", d_tok, d_pos
-                )
-            densities.append((c, gamma, delta))
+            densities.append(_parse_term(sc, _DENSITY_RULES))
         else:
             raise MeasureSyntaxError(
                 f"expected 'atom', 'powlaw' or 'lebesgue', got {word!r}", start
@@ -265,11 +250,6 @@ def tail_values(m: Measure, ts) -> np.ndarray:
             full = math.exp(_sp.betaln(delta + 1.0, gamma + 1.0))
             out += c * full * _sp.betaincc(delta + 1.0, gamma + 1.0, ts)
     return out
-
-
-def tail(m: Measure, t: float) -> float:
-    """mu([t,1)); exact closed form per component."""
-    return float(tail_values(m, np.asarray([t]))[0])
 
 
 # ---------------------------------------------------------------------------

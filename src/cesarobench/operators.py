@@ -15,8 +15,6 @@ ever formed.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -32,7 +30,6 @@ __all__ = [
     "tail_section",
     "section_norm",
     "norm_growth_profile",
-    "profile_to_csv",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -206,14 +203,3 @@ def norm_growth_profile(
         profile.append((n, section_norm(op, tol=tol, max_iter=max_iter)))
     return profile
 
-
-def profile_to_csv(profile: list[tuple[int, OpNormEstimate]]) -> str:
-    """Render a growth profile as CSV with a N,norm,method,... header."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["N", "norm", "method", "iterations", "residual"])
-    for n, est in profile:
-        writer.writerow(
-            [n, repr(est.value), est.method, est.iterations, repr(est.residual)]
-        )
-    return buf.getvalue()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -23,6 +24,9 @@ from cesarobench.cli import (
     main,
     substitute_exponent,
 )
+from cesarobench.measures import parse_measure
+from cesarobench.operators import norm_growth_profile
+from cesarobench.spaces import SpaceIndex
 
 
 class TestSubstituteExponent:
@@ -280,6 +284,27 @@ class TestCmdNormGrowth:
         assert [row["N"] for row in doc["rows"]] == [16, 32]
         assert doc["rows"][0]["method"] == "power_iteration"
 
+    def test_csv_matches_profile(self, capsys) -> None:
+        rc = main(
+            ["norm-growth", "--measure", "atom(0.5,0.5) + lebesgue",
+             "--alpha", "0.5", "--beta", "1.5", "--sizes", "8,16,64"]
+        )
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "N,norm,method,iterations,residual"
+        profile = norm_growth_profile(
+            parse_measure("atom(0.5,0.5) + lebesgue"),
+            SpaceIndex(0.5), SpaceIndex(1.5), [8, 16, 64],
+        )
+        assert len(lines) == 1 + len(profile)
+        for line, (n, est) in zip(lines[1:], profile):
+            size, norm, method, iterations, residual = line.split(",")
+            assert int(size) == n
+            assert float(norm) == est.value
+            assert method == est.method
+            assert int(iterations) == est.iterations
+            assert float(residual) == est.residual
+
     def test_python_dash_m_entry_point(self) -> None:
         src = str(Path(cesarobench.__file__).resolve().parent.parent)
         env = dict(os.environ)
@@ -323,6 +348,33 @@ class TestCmdNormGrowth:
             capsys, "--alpha", "1.0", "--beta", "1.0", "--sizes", "64,128", "--tol", "nan"
         )
         assert "tol" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--measure", "atom(0.3,0.7) + lebesgue", "--n-max", "64"],
+        ["norm-growth", "--measure", "powlaw(c=1.0, gamma=-0.5, delta=0.0)",
+         "--alpha", "1.5", "--beta", "0.5", "--sizes", "16,32,64"],
+    ],
+    ids=["moments", "norm-growth"],
+)
+def test_csv_and_json_tables_agree(tmp_path, argv) -> None:
+    csv_path, json_path = tmp_path / "table.csv", tmp_path / "table.json"
+    assert main(argv + ["--out", str(csv_path)]) == 0
+    assert main(argv + ["--out", str(json_path), "--format", "json"]) == 0
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    doc = json.loads(json_path.read_text(encoding="utf-8"))
+    assert doc["measure"] == argv[2]
+    assert len(csv_rows) == len(doc["rows"]) > 0
+    for csv_row, json_row in zip(csv_rows, doc["rows"]):
+        assert csv_row.keys() == json_row.keys()
+        for key, value in json_row.items():
+            if isinstance(value, str):
+                assert csv_row[key] == value
+            else:
+                assert float(csv_row[key]) == value
 
 
 SMALL_CONFIG = (
@@ -415,6 +467,17 @@ class TestCmdVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "1e999" in err
+        assert not (out_dir / "report.json").exists()
+
+    def test_empty_measures_section_exit_2(self, tmp_path, capsys) -> None:
+        config = tmp_path / "panel.ini"
+        config.write_text("[panel]\npairs = 1.0,1.0\n[measures]\n", encoding="utf-8")
+        out_dir = tmp_path / "reports"
+        rc = main(["verify", "--config", str(config), "--out", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "measures" in err
         assert not (out_dir / "report.json").exists()
 
     def test_missing_config_exit_2(self, tmp_path, capsys) -> None:

@@ -1,0 +1,82 @@
+"""Static scan of the package and its tests: no unused imports, and no
+__all__ entry that the module does not define."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import cesarobench
+
+MODULES = sorted(Path(cesarobench.__file__).parent.glob("*.py")) + sorted(
+    Path(__file__).parent.glob("*.py")
+)
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _imported(tree: ast.Module) -> list[tuple[str, int]]:
+    """(bound name, line) for every import anywhere in the module."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound.append((alias.asname or alias.name.split(".")[0], node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound.append((alias.asname or alias.name, node.lineno))
+    return bound
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names bound by the module's top-level statements."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(name for name, _ in _imported(node))
+    return names
+
+
+def test_no_unused_imports() -> None:
+    unused = []
+    for path in MODULES:
+        tree = _parse(path)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used.update(_exported(tree))
+        unused += [
+            f"{path.name}:{line}: {name}"
+            for name, line in _imported(tree)
+            if name not in used
+        ]
+    assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def test_all_names_defined() -> None:
+    missing = []
+    for path in MODULES:
+        tree = _parse(path)
+        defined = _defined(tree)
+        missing += [
+            f"{path.name}: {name}" for name in _exported(tree) if name not in defined
+        ]
+    assert not missing, "__all__ names not defined in their module:\n" + "\n".join(
+        missing
+    )

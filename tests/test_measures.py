@@ -19,7 +19,6 @@ from cesarobench.measures import (
     moment_by_parts,
     moment_sequence,
     parse_measure,
-    tail,
     tail_values,
 )
 
@@ -102,6 +101,42 @@ class TestParser:
         with pytest.raises(MeasureSyntaxError):
             parse_measure("powlaw(gamma=0,c=1,delta=0)")  # key order is fixed
 
+    # One bad value per rule: the expression, its offending token, and the
+    # same value as Measure fields.
+    RULE_CASES = [
+        ("atom(1.5,1.0)", "1.5", {"atoms": ((1.5, 1.0),)}),
+        ("atom(0.5,0)", "0", {"atoms": ((0.5, 0.0),)}),
+        ("powlaw(c=-1,gamma=0,delta=0)", "-1", {"densities": ((-1.0, 0.0, 0.0),)}),
+        ("powlaw(c=1,gamma=-1,delta=0)", "-1", {"densities": ((1.0, -1.0, 0.0),)}),
+        ("powlaw(c=1,gamma=0,delta=-0.5)", "-0.5", {"densities": ((1.0, 0.0, -0.5),)}),
+    ]
+
+    @pytest.mark.parametrize(
+        "expr, token, fields", RULE_CASES, ids=["t0", "mass", "c", "gamma", "delta"]
+    )
+    def test_parser_and_measure_share_each_rule_message(self, expr, token, fields):
+        with pytest.raises(ValueError) as direct:
+            Measure(**fields)
+        message, got = str(direct.value).rsplit(", got ", 1)
+        assert float(got) == float(token)
+        with pytest.raises(MeasureSemanticError) as parsed:
+            parse_measure(expr)
+        position = expr.rindex(token)
+        assert parsed.value.token == token
+        assert parsed.value.position == position
+        assert str(parsed.value) == (
+            f"{message}: offending token {token!r} (at position {position})"
+        )
+
+    def test_literal_checked_before_later_syntax(self):
+        # Each literal is checked as soon as it is read, so a bad position
+        # is reported before the missing comma that follows it.
+        with pytest.raises(MeasureSemanticError) as exc:
+            parse_measure("atom(1.5 1.0)")
+        assert exc.value.token == "1.5"
+        assert exc.value.position == 5
+        assert "atom position" in str(exc.value)
+
     def test_panel_round_trip(self):
         for expr in PANEL:
             m = parse_measure(expr)
@@ -153,32 +188,33 @@ class TestProperties:
 
 class TestTail:
     def test_lebesgue(self):
-        assert tail(parse_measure("lebesgue"), 0.25) == pytest.approx(0.75, abs=1e-15)
+        got = tail_values(parse_measure("lebesgue"), [0.25])
+        assert got[0] == pytest.approx(0.75, abs=1e-15)
 
     def test_atom_indicator(self):
         m = parse_measure("atom(0.5,2.0)")
-        assert tail(m, 0.5) == 2.0
-        assert tail(m, 0.50001) == 0.0
+        assert tail_values(m, [0.5, 0.50001]).tolist() == [2.0, 0.0]
 
     def test_powlaw_antiderivative(self):
         # c=1, gamma=-0.5, delta=0: tail(t) = 2 sqrt(1-t)
         m = parse_measure("powlaw(c=1,gamma=-0.5,delta=0)")
-        for t in (0.0, 0.3, 0.75, 0.999, 1 - 2.0**-30):
-            assert tail(m, t) == pytest.approx(2.0 * math.sqrt(1.0 - t), rel=1e-12)
+        ts = np.array([0.0, 0.3, 0.75, 0.999, 1 - 2.0**-30])
+        assert tail_values(m, ts) == pytest.approx(2.0 * np.sqrt(1.0 - ts), rel=1e-12)
 
     def test_powlaw_delta_quadrature_oracle(self):
         m = parse_measure("powlaw(c=2,gamma=-0.5,delta=1.5)")
-        for t in (0.0, 0.3, 0.9):
+        ts = (0.0, 0.3, 0.9)
+        for t, got in zip(ts, tail_values(m, ts)):
             want, err = integrate.quad(
                 lambda u: 2.0 * (1 - u) ** -0.5 * u**1.5, t, 1.0, limit=200
             )
-            assert tail(m, t) == pytest.approx(want, abs=max(1e-11, 2 * err))
+            assert got == pytest.approx(want, abs=max(1e-11, 2 * err))
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            tail(Measure.lebesgue(), 1.0)
+            tail_values(Measure.lebesgue(), [0.5, 1.0])
         with pytest.raises(ValueError):
-            tail(Measure.lebesgue(), -0.1)
+            tail_values(Measure.lebesgue(), [-0.1])
 
 
 class TestMoment:

@@ -19,7 +19,6 @@ from cesarobench.operators import (
     SectionOp,
     apply,
     norm_growth_profile,
-    profile_to_csv,
     section_norm,
     tail_section,
 )
@@ -283,15 +282,6 @@ class TestGrowthProfile:
             norm_growth_profile(LEB, S1, S1, [64, 64])
         with pytest.raises(ValueError):
             norm_growth_profile(LEB, S1, S1, [0, 4])
-
-    def test_csv_shape(self):
-        prof = norm_growth_profile(LEB, S1, S1, [8, 16])
-        text = profile_to_csv(prof)
-        lines = text.splitlines()
-        assert lines[0] == "N,norm,method,iterations,residual"
-        assert len(lines) == 3
-        assert lines[1].startswith("8,")
-        assert float(lines[1].split(",")[1]) == prof[0][1].value
 
 
 def test_power_iteration_norm_ignores_blas_threads(tmp_path):
