@@ -6,99 +6,23 @@ operator through its moment sequence.  This package evaluates moments
 through independent routes, builds finite matrix sections of the induced
 operator between weighted spaces, estimates their norms, and runs
 cross-checking verdict engines for boundedness and compactness.
+
+Each public name is listed once, in its own module's __all__; the package
+re-exports all four lists.
 """
 
-from .analysis import (
-    EquivalenceConfig,
-    EquivalenceReport,
-    Prop1Bound,
-    Verdict,
-    carleson_exponent,
-    check_equivalence,
-    classify_boundedness,
-    classify_carleson,
-    classify_compactness,
-    classify_moments,
-    est_ratio_check,
-    evaluate_panel,
-    prop1_bound_check,
-    reports_to_csv,
-    reports_to_json,
-)
-from .measures import (
-    Measure,
-    MeasureParseError,
-    MeasureSemanticError,
-    MeasureSyntaxError,
-    dyadic_grid,
-    format_measure,
-    moment,
-    moment_by_parts,
-    moment_sequence,
-    parse_measure,
-    tail_values,
-)
-from .operators import (
-    OpNormEstimate,
-    SectionOp,
-    apply,
-    norm_growth_profile,
-    section_norm,
-    tail_section,
-)
-from .spaces import (
-    CoeffVec,
-    SpaceIndex,
-    counterexample_family,
-    norm,
-    truncated_geometric_family,
-    weak_null_family,
-)
+from . import analysis, measures, operators, spaces
+from .analysis import *  # noqa: F401,F403
+from .measures import *  # noqa: F401,F403
+from .operators import *  # noqa: F401,F403
+from .spaces import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # measures
-    "Measure",
-    "MeasureParseError",
-    "MeasureSyntaxError",
-    "MeasureSemanticError",
-    "parse_measure",
-    "format_measure",
-    "tail_values",
-    "moment",
-    "moment_sequence",
-    "moment_by_parts",
-    "dyadic_grid",
-    # spaces
-    "SpaceIndex",
-    "CoeffVec",
-    "norm",
-    "counterexample_family",
-    "truncated_geometric_family",
-    "weak_null_family",
-    # operators
-    "SectionOp",
-    "OpNormEstimate",
-    "apply",
-    "tail_section",
-    "section_norm",
-    "norm_growth_profile",
-    # analysis
-    "Verdict",
-    "EquivalenceConfig",
-    "EquivalenceReport",
-    "Prop1Bound",
-    "carleson_exponent",
-    "classify_carleson",
-    "classify_moments",
-    "classify_boundedness",
-    "classify_compactness",
-    "check_equivalence",
-    "evaluate_panel",
-    "reports_to_json",
-    "reports_to_csv",
-    "est_ratio_check",
-    "prop1_bound_check",
+    *measures.__all__,
+    *spaces.__all__,
+    *operators.__all__,
+    *analysis.__all__,
 ]

@@ -8,14 +8,16 @@ with critical exponent s = 1 + (alpha - beta)/2:
   * moments:  normalized moments mu_n * (n+1)^s on dyadic n,
   * norm:     section norms of the induced operator over dyadic sizes,
 
-each reduced to a tri-state verdict (bounded / vanishing / unbounded) by the
-slope of the log-ratio over the deepest half of its grid.  Boundedness is
-the three engines agreeing on bounded-or-vanishing; compactness adds a
-fourth engine that tracks tail-operator norms.  Cross-engine agreement is
-the property under empirical test; a disagreement is a falsification event.
+each reduced to a tri-state verdict (bounded / vanishing / unbounded) by
+one trend rule: the slope of the log-ratio over the deepest half of its
+grid.  Boundedness is the three engines agreeing on bounded-or-vanishing;
+compactness adds a fourth engine that tracks tail-operator norms with the
+same trend rule.  Cross-engine agreement is the property under empirical
+test; a disagreement is a falsification event.
 
 Decision constants are frozen from calibration runs documented alongside
-each constant.  All engines are pure and deterministic.
+each constant.  Each engine budget defaults to the matching field of
+EquivalenceConfig, its one home.  All engines are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .operators import (
     section_norm,
     tail_section,
 )
-from .spaces import SpaceIndex
+from .spaces import SpaceIndex, require_index
 
 __all__ = [
     "DEADBAND",
@@ -115,14 +117,12 @@ _KIND_BY_ENGINE = {
     },
     "norm": {
         "bounded": "bounded_norm",
-        "vanishing": "bounded_norm",
         "unbounded": "not_norm",
         "inconclusive": "inconclusive_norm",
     },
     "compactness": {
         "bounded": "not_compact",
         "vanishing": "compact",
-        "unbounded": "not_compact",
         "inconclusive": "inconclusive_compactness",
     },
 }
@@ -132,8 +132,10 @@ _KIND_BY_ENGINE = {
 class Verdict:
     """Tri-state outcome of one engine with its raw evidence.
 
-    status is bounded / vanishing / unbounded / inconclusive; kind renders
-    it in the engine's own vocabulary (e.g. vanishing_carleson, compact).
+    status is bounded / vanishing / unbounded / inconclusive, limited to
+    the ones the engine can produce: the norm engine never says vanishing
+    and the compactness engine never says unbounded.  kind renders it in
+    the engine's own vocabulary (e.g. vanishing_carleson, compact).
     evidence holds the (parameter, ratio) samples the slope was fitted on;
     fitted_slope is -inf when trailing ratios hit exact zero.
     """
@@ -147,8 +149,10 @@ class Verdict:
     def __post_init__(self) -> None:
         if self.engine not in _KIND_BY_ENGINE:
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.status not in ("bounded", "vanishing", "unbounded", "inconclusive"):
-            raise ValueError(f"unknown status {self.status!r}")
+        if self.status not in _KIND_BY_ENGINE[self.engine]:
+            raise ValueError(
+                f"unknown status {self.status!r} for the {self.engine} engine"
+            )
         if not self.evidence:
             raise ValueError("evidence must be nonempty")
 
@@ -165,18 +169,43 @@ class Verdict:
         return self.status == "vanishing"
 
 
+@dataclass(frozen=True)
+class EquivalenceConfig:
+    """Grid budgets shared by the engines during an equivalence check.
+
+    The field defaults are the engines' own defaults.  Each budget is
+    range-checked by the engine that uses it, on its first call:
+    grid_depth by classify_carleson, n_max by classify_moments, sizes by
+    norm_growth_profile and tol by section_norm.  The compactness engine
+    runs at its calibrated budget, COMPACT_SIZE and COMPACT_TRUNCATIONS,
+    which is not configurable.
+    """
+
+    grid_depth: int = 30
+    n_max: int = 1 << 20
+    sizes: tuple[int, ...] = tuple(1 << k for k in range(6, 18))
+    tol: float = 1e-9
+
+
 def carleson_exponent(alpha: float, beta: float) -> float:
     """Critical tail exponent s = 1 + (alpha - beta)/2 for the pair."""
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not 0.0 < value < 2.0:
-            raise ValueError(f"{name} must lie in (0, 2), got {value}")
+    require_index(alpha, "alpha")
+    require_index(beta, "beta")
     return 1.0 + (alpha - beta) / 2.0
 
 
-def _fit_slope(xs, ys) -> tuple[float, float]:
-    """Least-squares slope of ys on xs with its standard error."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+def _trend(xs, ratios) -> tuple[float, float]:
+    """Least-squares slope of log(ratio) on x over the deepest half of the
+    grid, with its standard error.
+
+    A ratio in that half that is exactly zero has already vanished: the
+    slope is then -inf with standard error 0.
+    """
+    half = len(ratios) // 2
+    if min(ratios[half:]) <= 0.0:
+        return -math.inf, 0.0
+    xs = np.asarray(xs[half:], dtype=float)
+    ys = np.asarray([math.log(r) for r in ratios[half:]])
     xc = xs - xs.mean()
     yc = ys - ys.mean()
     sxx = float(np.dot(xc, xc))
@@ -190,17 +219,10 @@ def _fit_slope(xs, ys) -> tuple[float, float]:
 
 
 def _slope_status(xs, ratios, deadband: float) -> tuple[str, float, float]:
-    """Shared tri-state rule on the deepest half of a ratio grid.
-
-    Trailing exact zeros mean the ratio already vanished.  Otherwise the
-    verdict comes from the fitted log-ratio slope against the deadband,
-    with a boundary band of one standard error declared inconclusive.
-    """
-    half = len(ratios) // 2
-    window = ratios[half:]
-    if min(window) <= 0.0:
-        return "vanishing", -math.inf, 0.0
-    slope, stderr = _fit_slope(xs[half:], [math.log(r) for r in window])
+    """Shared tri-state rule: the trend against the deadband, with a
+    boundary band of one standard error declared inconclusive.  A vanished
+    ratio (slope -inf) is vanishing."""
+    slope, stderr = _trend(xs, ratios)
     if abs(slope + deadband) <= stderr or abs(slope - deadband) <= stderr:
         return "inconclusive", slope, stderr
     if slope < -deadband:
@@ -210,7 +232,9 @@ def _slope_status(xs, ratios, deadband: float) -> tuple[str, float, float]:
     return "bounded", slope, stderr
 
 
-def classify_carleson(m: Measure, s: float, grid_depth: int = 30) -> Verdict:
+def classify_carleson(
+    m: Measure, s: float, grid_depth: int = EquivalenceConfig.grid_depth
+) -> Verdict:
     """Tail-ratio engine: r_j = mu([t_j,1)) / (1-t_j)^s on t_j = 1 - 2^-j."""
     if s <= 0:
         raise ValueError("s must be positive")
@@ -225,7 +249,9 @@ def classify_carleson(m: Measure, s: float, grid_depth: int = 30) -> Verdict:
     return Verdict("carleson", status, tuple(zip(ts, ratios)), slope, stderr)
 
 
-def classify_moments(m: Measure, s: float, n_max: int = 1 << 20) -> Verdict:
+def classify_moments(
+    m: Measure, s: float, n_max: int = EquivalenceConfig.n_max
+) -> Verdict:
     """Moment-decay engine: q_n = mu_n * (n+1)^s on dyadic n up to n_max."""
     if s <= 0:
         raise ValueError("s must be positive")
@@ -241,15 +267,12 @@ def classify_moments(m: Measure, s: float, n_max: int = 1 << 20) -> Verdict:
     )
 
 
-_DEFAULT_SIZES = tuple(1 << k for k in range(6, 18))
-
-
 def classify_boundedness(
     m: Measure,
     alpha: float,
     beta: float,
-    sizes=None,
-    tol: float = 1e-9,
+    sizes=EquivalenceConfig.sizes,
+    tol: float = EquivalenceConfig.tol,
 ) -> Verdict:
     """Norm-profile engine: section norms over dyadic sizes.
 
@@ -261,8 +284,6 @@ def classify_boundedness(
     inconclusive only inside the fit-uncertainty band of the boundary.
     """
     carleson_exponent(alpha, beta)
-    if sizes is None:
-        sizes = _DEFAULT_SIZES
     profile = norm_growth_profile(
         m, SpaceIndex(alpha), SpaceIndex(beta), sizes, tol=tol
     )
@@ -289,7 +310,7 @@ def classify_compactness(
     alpha: float,
     beta: float,
     boundedness: Verdict,
-    tol: float = 1e-9,
+    tol: float = EquivalenceConfig.tol,
 ) -> Verdict:
     """Tail-operator engine: norms of the rows-above-M remainder on the
     size-COMPACT_SIZE section, for M in COMPACT_TRUNCATIONS.
@@ -316,16 +337,10 @@ def classify_compactness(
     ]
     evidence = tuple((float(mm), v) for mm, v in zip(COMPACT_TRUNCATIONS, tails))
 
-    if full == 0.0 or tails[-1] <= COMPACT_LEVEL_FLOOR * full:
+    slope, stderr = _trend([math.log(mm) for mm in COMPACT_TRUNCATIONS], tails)
+    floored = tails[-1] <= COMPACT_LEVEL_FLOOR * full
+    if full == 0.0 or floored or slope == -math.inf:
         return Verdict("compactness", "vanishing", evidence, -math.inf, 0.0)
-    half = len(tails) // 2
-    window = tails[half:]
-    if min(window) <= 0.0:
-        return Verdict("compactness", "vanishing", evidence, -math.inf, 0.0)
-    slope, stderr = _fit_slope(
-        [math.log(mm) for mm in COMPACT_TRUNCATIONS[half:]],
-        [math.log(v) for v in window],
-    )
     level = tails[-1] / full
     if abs(slope - COMPACT_SLOPE_THRESHOLD) <= stderr:
         status = "inconclusive"
@@ -336,23 +351,6 @@ def classify_compactness(
     else:
         status = "inconclusive"
     return Verdict("compactness", status, evidence, slope, stderr)
-
-
-@dataclass(frozen=True)
-class EquivalenceConfig:
-    """Grid budgets shared by the engines during an equivalence check.
-
-    Each budget is range-checked by the engine that uses it, on its first
-    call: grid_depth by classify_carleson, n_max by classify_moments,
-    sizes by norm_growth_profile and tol by section_norm.  The compactness
-    engine runs at its calibrated budget, COMPACT_SIZE and
-    COMPACT_TRUNCATIONS, which is not configurable.
-    """
-
-    grid_depth: int = 30
-    n_max: int = 1 << 20
-    sizes: tuple[int, ...] = _DEFAULT_SIZES
-    tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -602,15 +600,15 @@ class Prop1Bound:
         yield self.bound
 
 
-def prop1_bound_check(alpha: float, n: int = 4096, tol: float = 1e-9) -> Prop1Bound:
-    """Norm of the size-n classical section at (alpha, alpha) plus the
-    pointwise inequality sweep over all indices up to n."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+def prop1_bound_check(alpha: float, n: int = 4096) -> Prop1Bound:
+    """Norm of the size-n classical section at (alpha, alpha), at
+    section_norm's default tolerance, plus the pointwise inequality sweep
+    over all indices up to n."""
+    require_index(alpha, "alpha")
     if n < 1:
         raise ValueError("n must be positive")
     op = SectionOp(Measure.lebesgue(), SpaceIndex(alpha), SpaceIndex(alpha), n)
-    value = section_norm(op, tol=tol).value
+    value = section_norm(op).value
     bound = math.sqrt(2.0 * (2.0 + alpha)) / alpha
 
     idx = np.arange(1, n + 2, dtype=float)

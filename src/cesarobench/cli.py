@@ -35,13 +35,7 @@ from .analysis import (
     reports_to_csv,
     reports_to_json,
 )
-from .measures import (
-    MeasureParseError,
-    dyadic_grid,
-    moment,
-    moment_by_parts,
-    parse_measure,
-)
+from .measures import dyadic_grid, moment, moment_by_parts, parse_measure
 from .operators import norm_growth_profile
 from .spaces import SpaceIndex
 
@@ -238,7 +232,7 @@ def cmd_norm_growth(
     alpha: float,
     beta: float,
     sizes,
-    tol: float = 1e-9,
+    tol: float = EquivalenceConfig.tol,
     out: str | None = None,
     fmt: str = "csv",
 ) -> int:
@@ -313,7 +307,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default="64,128,256,512,1024,2048,4096",
         help="comma-separated strictly increasing section sizes",
     )
-    p_n.add_argument("--tol", type=float, default=1e-9)
+    p_n.add_argument("--tol", type=float, default=EquivalenceConfig.tol)
     p_n.add_argument("--out", default=None, help="output file (default stdout)")
     p_n.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -342,10 +336,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args.config, args.out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (MeasureParseError, ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,8 @@ lower-triangular matrix
 
 The norm comes from power iteration on A^T A with both matrix-vector
 products applied matrix-free through prefix sums, so no N x N array is
-ever formed.
+ever formed.  Iteration stops at the requested tolerance or after
+MAX_ITER steps, whichever comes first.
 """
 
 from __future__ import annotations
@@ -30,7 +31,12 @@ __all__ = [
     "tail_section",
     "section_norm",
     "norm_growth_profile",
+    "MAX_ITER",
 ]
+
+# Power-iteration steps before section_norm stops and reports its residual.
+MAX_ITER = 20000
+
 
 @dataclass(frozen=True, eq=False)
 class SectionOp:
@@ -82,7 +88,7 @@ class OpNormEstimate:
     `value` is a lower bound on the section norm (Rayleigh quotients of
     A^T A underestimate).  `residual` is the last gap between successive
     estimates; it exceeds the requested tolerance only when iteration
-    stopped at max_iter.  `method` names the route in profile output and
+    stopped at MAX_ITER.  `method` names the route in profile output and
     is always "power_iteration".
     """
 
@@ -132,32 +138,34 @@ def _conjugation_weights(op: SectionOp) -> tuple[np.ndarray, np.ndarray]:
     return w_in, w_out
 
 
-def section_norm(
-    op: SectionOp, tol: float = 1e-9, max_iter: int = 20000
-) -> OpNormEstimate:
+def section_norm(op: SectionOp, tol: float = 1e-9) -> OpNormEstimate:
     """Largest singular value of the conjugated section matrix.
 
     Power iteration on A^T A starts from the all-ones vector, which has
     positive overlap with the top singular vector because every matrix
     entry is nonnegative, and stops when successive Rayleigh estimates
-    differ by less than tol.  Non-convergence is reported through
-    residual > tol, never raised.
+    differ by less than tol.  Non-convergence within MAX_ITER steps is
+    reported through residual > tol, never raised.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
 
     w_in, w_out = _conjugation_weights(op)
+    # The norm is linear in the row weights.  Dividing them by the power of
+    # two that brings the largest below 2 keeps the sums of squares of huge
+    # measures finite, and is undone exactly on sigma.
+    scale = max(0, math.frexp(float(np.max(w_out)))[1] - 1)
+    if scale:
+        w_out = np.ldexp(w_out, -scale)
     v = np.full(op.size, 1.0 / math.sqrt(op.size))
     sigma_prev = None
     sigma = 0.0
     residual = math.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         av = w_out * np.cumsum(w_in * v)
         # np.sum, unlike the BLAS dot behind np.dot and np.linalg.norm,
         # adds in an order that does not depend on the BLAS thread count.
-        sigma = math.sqrt(float(np.sum(av * av)))
+        sigma = math.ldexp(math.sqrt(float(np.sum(av * av))), scale)
         if sigma == 0.0:
             return OpNormEstimate(0.0, iteration, 0.0)
         if sigma_prev is not None:
@@ -172,7 +180,7 @@ def section_norm(
             # sigma cannot improve from here.
             return OpNormEstimate(sigma, iteration, 0.0)
         v = btv / btv_norm
-    return OpNormEstimate(sigma, max_iter, residual)
+    return OpNormEstimate(sigma, MAX_ITER, residual)
 
 
 def norm_growth_profile(
@@ -181,7 +189,6 @@ def norm_growth_profile(
     beta: SpaceIndex,
     sizes,
     tol: float = 1e-9,
-    max_iter: int = 20000,
 ) -> list[tuple[int, OpNormEstimate]]:
     """Section norms at each size, ordered by size.
 
@@ -200,6 +207,6 @@ def norm_growth_profile(
     profile = []
     for n in sizes:
         op = SectionOp(measure, alpha, beta, n, moments=moments)
-        profile.append((n, section_norm(op, tol=tol, max_iter=max_iter)))
+        profile.append((n, section_norm(op, tol=tol)))
     return profile
 

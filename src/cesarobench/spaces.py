@@ -23,6 +23,7 @@ __all__ = [
     "SpaceIndex",
     "CoeffVec",
     "norm",
+    "require_index",
     "counterexample_family",
     "truncated_geometric_family",
     "weak_null_family",
@@ -35,7 +36,8 @@ class SpaceIndex:
 
     The norm is defined for every real alpha.  Operations that verify the
     boundedness or compactness characterizations additionally require
-    0 < alpha < 2 and enforce that at their own entry points.
+    0 < alpha < 2 and enforce that at their own entry points through
+    require_index.
     """
 
     alpha: float
@@ -75,16 +77,6 @@ class CoeffVec:
     def __len__(self) -> int:
         return int(self._coeffs.size)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoeffVec):
-            return NotImplemented
-        return self._coeffs.shape == other._coeffs.shape and bool(
-            np.all(self._coeffs == other._coeffs)
-        )
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs.tobytes())
-
     def __repr__(self) -> str:
         head = ", ".join(repr(v) for v in self._coeffs[:4])
         tail = ", ..." if len(self) > 4 else ""
@@ -99,9 +91,10 @@ def norm(f: CoeffVec, s: SpaceIndex) -> float:
     return math.sqrt(math.fsum((s.weights(a.size) * (a * a)).tolist()))
 
 
-def _require_open_interval(alpha: float, name: str) -> None:
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"{name} must lie in (0, 2), got {alpha}")
+def require_index(value: float, name: str) -> None:
+    """Reject an index outside the open range (0, 2) of the characterizations."""
+    if not 0.0 < value < 2.0:
+        raise ValueError(f"{name} must lie in (0, 2), got {value}")
 
 
 def counterexample_family(alpha: SpaceIndex, eps: float, n_terms: int) -> CoeffVec:
@@ -114,7 +107,7 @@ def counterexample_family(alpha: SpaceIndex, eps: float, n_terms: int) -> CoeffV
     a boundedness witness.
     """
     a = alpha.alpha
-    _require_open_interval(a, "alpha")
+    require_index(a, "alpha")
     if not 0.0 < eps < a:
         raise ValueError(f"eps must lie in (0, alpha), got {eps}")
     if n_terms < 1:

@@ -278,6 +278,14 @@ class TestVerdict:
         with pytest.raises(ValueError):
             Verdict("carleson", "bounded", (), 0.0, 0.0)
 
+    def test_status_the_engine_cannot_produce(self) -> None:
+        # classify_boundedness folds vanishing into bounded, and
+        # classify_compactness rejects unbounded input.
+        with pytest.raises(ValueError, match="norm engine"):
+            Verdict("norm", "vanishing", ((1.0, 1.0),), -1.0, 0.0)
+        with pytest.raises(ValueError, match="compactness engine"):
+            Verdict("compactness", "unbounded", ((1.0, 1.0),), 1.0, 0.0)
+
 
 class TestCheckEquivalence:
     def test_bounded_entry_full_agreement(self) -> None:

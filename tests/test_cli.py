@@ -260,6 +260,21 @@ class TestCmdNormGrowth:
         norms = [float(line.split(",")[1]) for line in lines]
         assert norms[-1] - norms[0] < 1e-9
 
+    def test_huge_mass_stays_finite(self, capsys) -> None:
+        # The norm is linear in the measure; a mass near the float limit
+        # must scale the unit-mass norms, not overflow them to inf.
+        def norms(mass: str) -> list[float]:
+            argv = ["norm-growth", "--measure", f"atom(0.5,{mass})",
+                    "--alpha", "1", "--beta", "1", "--sizes", "16,32"]
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()[1:]
+            return [float(line.split(",")[1]) for line in lines]
+
+        huge, unit = norms("1e300"), norms("1")
+        assert all(math.isfinite(v) for v in huge)
+        for h, u in zip(huge, unit):
+            assert h == pytest.approx(1e300 * u, rel=1e-8)
+
     def test_json_format(self, tmp_path) -> None:
         out = tmp_path / "profile.json"
         rc = main(
@@ -468,6 +483,19 @@ class TestCmdVerify:
         assert err.startswith("error:")
         assert "1e999" in err
         assert not (out_dir / "report.json").exists()
+
+    def test_huge_mass_panel_exit_0(self, tmp_path, capsys) -> None:
+        # A finite mass near the float limit runs every engine without an
+        # overflow (pytest turns the RuntimeWarning into an error).
+        config = tmp_path / "panel.ini"
+        config.write_text(
+            "[panel]\npairs = 1.0,1.0\n[measures]\nbig = atom(0.5,1e300)\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "reports"
+        rc = main(["verify", "--config", str(config), "--out", str(out_dir)])
+        assert rc == 0
+        assert "all agree" in capsys.readouterr().out
 
     def test_empty_measures_section_exit_2(self, tmp_path, capsys) -> None:
         config = tmp_path / "panel.ini"

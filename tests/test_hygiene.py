@@ -1,9 +1,11 @@
 """Static scan of the package and its tests: no unused imports, and no
-__all__ entry that the module does not define."""
+__all__ entry that the module does not define.  The package root
+re-exports every module's __all__."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import cesarobench
@@ -18,11 +20,16 @@ def _parse(path: Path) -> ast.Module:
 
 
 def _exported(tree: ast.Module) -> list[str]:
+    """A literal __all__; one built from other lists (the package root's)
+    is checked by test_root_exports instead."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            return list(ast.literal_eval(node.value))
+            try:
+                return list(ast.literal_eval(node.value))
+            except ValueError:
+                return []
     return []
 
 
@@ -80,3 +87,12 @@ def test_all_names_defined() -> None:
     assert not missing, "__all__ names not defined in their module:\n" + "\n".join(
         missing
     )
+
+
+def test_root_exports() -> None:
+    missing = [name for name in cesarobench.__all__ if not hasattr(cesarobench, name)]
+    assert not missing, f"root __all__ names that do not resolve: {missing}"
+    for module in ("analysis", "measures", "operators", "spaces"):
+        names = importlib.import_module(f"cesarobench.{module}").__all__
+        absent = sorted(set(names) - set(cesarobench.__all__))
+        assert not absent, f"{module}.__all__ names missing from the root: {absent}"
