@@ -16,8 +16,8 @@ same trend rule.  Cross-engine agreement is the property under empirical
 test; a disagreement is a falsification event.
 
 Decision constants are frozen from calibration runs documented alongside
-each constant.  Each engine budget defaults to the matching field of
-EquivalenceConfig, its one home.  All engines are pure and deterministic.
+each constant, on the fixed grids beside them; EquivalenceConfig holds the
+only settable budgets.  All engines are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 
 from .measures import Measure, dyadic_grid, format_measure, moment, tail_values
 from .operators import (
+    TOL,
     SectionOp,
     norm_growth_profile,
     section_norm,
@@ -43,6 +44,8 @@ from .spaces import SpaceIndex, require_index
 
 __all__ = [
     "DEADBAND",
+    "CARLESON_GRID",
+    "MOMENT_GRID",
     "NORM_DEADBAND",
     "COMPACT_SLOPE_THRESHOLD",
     "COMPACT_LEVEL_THRESHOLD",
@@ -69,6 +72,11 @@ __all__ = [
 # +-DEADBAND of zero count as bounded (critical).  On the dyadic t-grid this
 # tolerates a 0.02 offset in the tail exponent.
 DEADBAND = 0.02 * math.log(2.0)
+
+# The grids DEADBAND was set on: tail thresholds t_j = 1 - 2^-j for
+# j = 1..30, and moments at n = 1, 2, 4, ..., 2^20.
+CARLESON_GRID = tuple(1.0 - 2.0**-j for j in range(1, 31))
+MOMENT_GRID = tuple(dyadic_grid(1 << 20))
 
 # The norm engine needs a wider band: section norms of critical (bounded)
 # measures approach their limit logarithmically, and the fitted slope of
@@ -171,20 +179,15 @@ class Verdict:
 
 @dataclass(frozen=True)
 class EquivalenceConfig:
-    """Grid budgets shared by the engines during an equivalence check.
-
-    The field defaults are the engines' own defaults.  Each budget is
-    range-checked by the engine that uses it, on its first call:
-    grid_depth by classify_carleson, n_max by classify_moments, sizes by
-    norm_growth_profile and tol by section_norm.  The compactness engine
-    runs at its calibrated budget, COMPACT_SIZE and COMPACT_TRUNCATIONS,
-    which is not configurable.
+    """The settable budgets of an equivalence check, each range-checked on
+    first use: the norm engine's section sizes by norm_growth_profile, and
+    the power-iteration tol of the norm and compactness engines by
+    section_norm.  The other engines run on fixed grids (CARLESON_GRID,
+    MOMENT_GRID, COMPACT_SIZE and COMPACT_TRUNCATIONS).
     """
 
-    grid_depth: int = 30
-    n_max: int = 1 << 20
     sizes: tuple[int, ...] = tuple(1 << k for k in range(6, 18))
-    tol: float = 1e-9
+    tol: float = TOL
 
 
 def carleson_exponent(alpha: float, beta: float) -> float:
@@ -232,39 +235,29 @@ def _slope_status(xs, ratios, deadband: float) -> tuple[str, float, float]:
     return "bounded", slope, stderr
 
 
-def classify_carleson(
-    m: Measure, s: float, grid_depth: int = EquivalenceConfig.grid_depth
-) -> Verdict:
-    """Tail-ratio engine: r_j = mu([t_j,1)) / (1-t_j)^s on t_j = 1 - 2^-j."""
+def classify_carleson(m: Measure, s: float) -> Verdict:
+    """Tail-ratio engine: r_j = mu([t_j,1)) / (1-t_j)^s on CARLESON_GRID."""
     if s <= 0:
         raise ValueError("s must be positive")
-    if grid_depth < 8:
-        raise ValueError("grid_depth must be at least 8")
-    ts = [1.0 - 2.0**-j for j in range(1, grid_depth + 1)]
+    ts = CARLESON_GRID
     tails = tail_values(m, ts)
     ratios = [float(mass) / (1.0 - t) ** s for mass, t in zip(tails, ts)]
     status, slope, stderr = _slope_status(
-        list(range(1, grid_depth + 1)), ratios, DEADBAND
+        list(range(1, len(ts) + 1)), ratios, DEADBAND
     )
     return Verdict("carleson", status, tuple(zip(ts, ratios)), slope, stderr)
 
 
-def classify_moments(
-    m: Measure, s: float, n_max: int = EquivalenceConfig.n_max
-) -> Verdict:
-    """Moment-decay engine: q_n = mu_n * (n+1)^s on dyadic n up to n_max."""
+def classify_moments(m: Measure, s: float) -> Verdict:
+    """Moment-decay engine: q_n = mu_n * (n+1)^s on MOMENT_GRID."""
     if s <= 0:
         raise ValueError("s must be positive")
-    if n_max < 64:
-        raise ValueError("n_max must be at least 64")
-    ns = dyadic_grid(n_max)
-    ratios = [moment(m, n) * (n + 1.0) ** s for n in ns]
+    ratios = [moment(m, n) * (n + 1.0) ** s for n in MOMENT_GRID]
     status, slope, stderr = _slope_status(
-        [math.log(n) for n in ns], ratios, DEADBAND
+        [math.log(n) for n in MOMENT_GRID], ratios, DEADBAND
     )
-    return Verdict(
-        "moments", status, tuple((float(n), r) for n, r in zip(ns, ratios)), slope, stderr
-    )
+    evidence = tuple((float(n), r) for n, r in zip(MOMENT_GRID, ratios))
+    return Verdict("moments", status, evidence, slope, stderr)
 
 
 def classify_boundedness(
@@ -272,7 +265,7 @@ def classify_boundedness(
     alpha: float,
     beta: float,
     sizes=EquivalenceConfig.sizes,
-    tol: float = EquivalenceConfig.tol,
+    tol: float = TOL,
 ) -> Verdict:
     """Norm-profile engine: section norms over dyadic sizes.
 
@@ -310,7 +303,7 @@ def classify_compactness(
     alpha: float,
     beta: float,
     boundedness: Verdict,
-    tol: float = EquivalenceConfig.tol,
+    tol: float = TOL,
 ) -> Verdict:
     """Tail-operator engine: norms of the rows-above-M remainder on the
     size-COMPACT_SIZE section, for M in COMPACT_TRUNCATIONS.
@@ -389,8 +382,8 @@ def check_equivalence(
         config = EquivalenceConfig()
     s = carleson_exponent(alpha, beta)
     verdicts = {
-        "carleson": classify_carleson(m, s, config.grid_depth),
-        "moments": classify_moments(m, s, config.n_max),
+        "carleson": classify_carleson(m, s),
+        "moments": classify_moments(m, s),
         "norm": classify_boundedness(m, alpha, beta, config.sizes, config.tol),
     }
     warnings = [

@@ -36,7 +36,7 @@ from .analysis import (
     reports_to_json,
 )
 from .measures import dyadic_grid, moment, moment_by_parts, parse_measure
-from .operators import norm_growth_profile
+from .operators import TOL, norm_growth_profile
 from .spaces import SpaceIndex
 
 __all__ = [
@@ -95,16 +95,16 @@ def default_config() -> PanelConfig:
     return PanelConfig()
 
 
-_PANEL_KEYS = ("pairs", "sizes", "tol", "grid_depth", "n_max")
+_PANEL_KEYS = ("pairs", "sizes", "tol")
 
 
 def load_config(path: str) -> PanelConfig:
     """Read a panel config: INI text with [panel] and [measures] sections.
 
-    [panel] keys (all optional): pairs as semicolon-separated alpha,beta;
-    sizes as comma-separated integers; tol, grid_depth, n_max scalars.
-    The last four become the panel's EquivalenceConfig and are checked
-    only by the engines that use them.  [measures] maps entry names to
+    [panel] keys (all optional, no others): pairs as semicolon-separated
+    alpha,beta; sizes as comma-separated integers; tol a scalar.  sizes
+    and tol become the panel's EquivalenceConfig and are checked only by
+    the engines that use them.  [measures] maps entry names to
     measure expressions, which may use {s...} placeholders.  Omitted parts
     fall back to the default panel.
     """
@@ -144,10 +144,6 @@ def load_config(path: str) -> PanelConfig:
                 budgets["sizes"] = _parse_sizes(panel["sizes"])
             if "tol" in panel:
                 budgets["tol"] = float(panel["tol"])
-            if "grid_depth" in panel:
-                budgets["grid_depth"] = int(panel["grid_depth"])
-            if "n_max" in panel:
-                budgets["n_max"] = int(panel["n_max"])
         except ValueError as exc:
             raise ConfigError(f"malformed [panel] value: {exc}") from exc
     if parser.has_section("measures"):
@@ -232,7 +228,7 @@ def cmd_norm_growth(
     alpha: float,
     beta: float,
     sizes,
-    tol: float = EquivalenceConfig.tol,
+    tol: float = TOL,
     out: str | None = None,
     fmt: str = "csv",
 ) -> int:
@@ -307,7 +303,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default="64,128,256,512,1024,2048,4096",
         help="comma-separated strictly increasing section sizes",
     )
-    p_n.add_argument("--tol", type=float, default=EquivalenceConfig.tol)
+    p_n.add_argument("--tol", type=float, default=TOL)
     p_n.add_argument("--out", default=None, help="output file (default stdout)")
     p_n.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -86,7 +86,8 @@ class Measure:
     atoms: tuples (t0, mass) with t0 in [0,1), mass > 0.
     densities: tuples (c, gamma, delta) for c (1-t)^gamma t^delta dt
         with c > 0, gamma > -1, delta >= 0.
-    Every mass, c, gamma and delta is finite.
+    Every mass, c, gamma and delta is finite, and so is the total mass
+    mu([0,1)).
     """
 
     atoms: tuple[tuple[float, float], ...] = field(default=())
@@ -98,6 +99,13 @@ class Measure:
                 for (_, ok, message), value in zip(rules, term, strict=True):
                     if not ok(value):
                         raise ValueError(f"{message}, got {value!r}")
+        # Python floats: a sum that overflows is inf, with no numpy warning.
+        total = sum(mass for _, mass in self.atoms) + sum(
+            c * math.exp(float(_sp.betaln(delta + 1.0, gamma + 1.0)))
+            for c, gamma, delta in self.densities
+        )
+        if not math.isfinite(total):
+            raise ValueError(f"total mass must be finite, got {total!r}")
 
     @staticmethod
     def lebesgue() -> "Measure":
@@ -110,9 +118,6 @@ class Measure:
     @staticmethod
     def powlaw(c: float, gamma: float, delta: float = 0.0) -> "Measure":
         return Measure(densities=((c, gamma, delta),))
-
-    def __add__(self, other: "Measure") -> "Measure":
-        return Measure(self.atoms + other.atoms, self.densities + other.densities)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,15 @@ lower-triangular matrix
 
 The norm comes from power iteration on A^T A with both matrix-vector
 products applied matrix-free through prefix sums, so no N x N array is
-ever formed.  Iteration stops at the requested tolerance or after
-MAX_ITER steps, whichever comes first.
+ever formed.  Iteration stops at the requested tolerance (TOL by default)
+or after MAX_ITER steps, whichever comes first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,10 +33,14 @@ __all__ = [
     "section_norm",
     "norm_growth_profile",
     "MAX_ITER",
+    "TOL",
 ]
 
 # Power-iteration steps before section_norm stops and reports its residual.
 MAX_ITER = 20000
+
+# Default stopping gap between successive power-iteration estimates.
+TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,20 +93,17 @@ class OpNormEstimate:
     `value` is a lower bound on the section norm (Rayleigh quotients of
     A^T A underestimate).  `residual` is the last gap between successive
     estimates; it exceeds the requested tolerance only when iteration
-    stopped at MAX_ITER.  `method` names the route in profile output and
-    is always "power_iteration".
+    stopped at MAX_ITER.  `method` names the one route in profile output.
     """
 
     value: float
     iterations: int
     residual: float
-    method: str = "power_iteration"
+    method: ClassVar[str] = "power_iteration"
 
     def __post_init__(self) -> None:
         if self.value < 0 or self.residual < 0:
             raise ValueError("estimate and residual must be nonnegative")
-        if self.method != "power_iteration":
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 def apply(op: SectionOp, f: CoeffVec) -> CoeffVec:
@@ -138,7 +140,7 @@ def _conjugation_weights(op: SectionOp) -> tuple[np.ndarray, np.ndarray]:
     return w_in, w_out
 
 
-def section_norm(op: SectionOp, tol: float = 1e-9) -> OpNormEstimate:
+def section_norm(op: SectionOp, tol: float = TOL) -> OpNormEstimate:
     """Largest singular value of the conjugated section matrix.
 
     Power iteration on A^T A starts from the all-ones vector, which has
@@ -188,7 +190,7 @@ def norm_growth_profile(
     alpha: SpaceIndex,
     beta: SpaceIndex,
     sizes,
-    tol: float = 1e-9,
+    tol: float = TOL,
 ) -> list[tuple[int, OpNormEstimate]]:
     """Section norms at each size, ordered by size.
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cesarobench.analysis import (
+    CARLESON_GRID,
     COMPACT_SIZE,
     COMPACT_SLOPE_THRESHOLD,
     NORM_DEADBAND,
@@ -41,14 +42,10 @@ from cesarobench.spaces import SpaceIndex
 LEBESGUE = parse_measure("lebesgue")
 ATOM_HALF = parse_measure("atom(0.5,1.0)")
 
-# Reduced budgets keep unit tests fast; verdicts at these budgets were
+# Reduced sizes keep unit tests fast; verdicts at these sizes were
 # verified to match the full-budget ones for the measures used here.
 FAST_SIZES = tuple(1 << k for k in range(6, 13))
-FAST_CONFIG = EquivalenceConfig(
-    grid_depth=12,
-    n_max=1 << 14,
-    sizes=FAST_SIZES,
-)
+FAST_CONFIG = EquivalenceConfig(sizes=FAST_SIZES)
 BOUNDED_OK = Verdict("norm", "bounded", ((1.0, 1.0),), 0.0, 0.0)
 
 
@@ -76,7 +73,7 @@ class TestCarlesonExponent:
 
 class TestClassifyCarleson:
     def test_lebesgue_critical_unit_ratios(self) -> None:
-        v = classify_carleson(LEBESGUE, 1.0, grid_depth=16)
+        v = classify_carleson(LEBESGUE, 1.0)
         assert v.status == "bounded"
         assert v.kind == "bounded_carleson"
         for _, ratio in v.evidence:
@@ -85,13 +82,13 @@ class TestClassifyCarleson:
 
     def test_lebesgue_supercritical_slope(self) -> None:
         # tail/(1-t)^1.5 = (1-t)^-0.5 doubles every two dyadic levels.
-        v = classify_carleson(LEBESGUE, 1.5, grid_depth=20)
+        v = classify_carleson(LEBESGUE, 1.5)
         assert v.status == "unbounded"
         assert v.kind == "not_carleson"
         assert v.fitted_slope == pytest.approx(0.5 * math.log(2.0), rel=1e-6)
 
     def test_lebesgue_subcritical_slope(self) -> None:
-        v = classify_carleson(LEBESGUE, 0.5, grid_depth=20)
+        v = classify_carleson(LEBESGUE, 0.5)
         assert v.status == "vanishing"
         assert v.kind == "vanishing_carleson"
         assert v.fitted_slope == pytest.approx(-0.5 * math.log(2.0), rel=1e-6)
@@ -99,21 +96,22 @@ class TestClassifyCarleson:
     def test_power_law_constant_ratio(self) -> None:
         # tail = 2(1-t)^0.5 / 0.5 = 4(1-t)^0.5, so the s=0.5 ratio is 4.
         m = parse_measure("powlaw(c=2.0, gamma=-0.5, delta=0.0)")
-        v = classify_carleson(m, 0.5, grid_depth=16)
+        v = classify_carleson(m, 0.5)
         assert v.status == "bounded"
         for _, ratio in v.evidence:
             assert ratio == pytest.approx(4.0, rel=1e-11)
 
     def test_atom_tail_vanishes_exactly(self) -> None:
-        v = classify_carleson(ATOM_HALF, 1.0, grid_depth=12)
+        v = classify_carleson(ATOM_HALF, 1.0)
         assert v.status == "vanishing"
         assert v.fitted_slope == -math.inf
         assert v.evidence[-1][1] == 0.0
 
     def test_evidence_grid(self) -> None:
-        v = classify_carleson(LEBESGUE, 1.0, grid_depth=9)
-        assert len(v.evidence) == 9
-        assert [p for p, _ in v.evidence] == [1.0 - 2.0**-j for j in range(1, 10)]
+        v = classify_carleson(LEBESGUE, 1.0)
+        assert len(v.evidence) == 30
+        assert [p for p, _ in v.evidence] == list(CARLESON_GRID)
+        assert list(CARLESON_GRID) == [1.0 - 2.0**-j for j in range(1, 31)]
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -131,8 +129,8 @@ class TestClassifyCarleson:
         doubled = Measure(
             atoms=((t0, 2.0 * mass),), densities=((2.0 * mass, gamma, 0.0),)
         )
-        v1 = classify_carleson(m, s, grid_depth=10)
-        v2 = classify_carleson(doubled, s, grid_depth=10)
+        v1 = classify_carleson(m, s)
+        v2 = classify_carleson(doubled, s)
         assert v1.status == v2.status
         if math.isfinite(v1.fitted_slope):
             assert v2.fitted_slope == pytest.approx(v1.fitted_slope, abs=1e-9)
@@ -140,25 +138,23 @@ class TestClassifyCarleson:
     def test_validation(self) -> None:
         with pytest.raises(ValueError):
             classify_carleson(LEBESGUE, 0.0)
-        with pytest.raises(ValueError):
-            classify_carleson(LEBESGUE, 1.0, grid_depth=7)
 
 
 class TestClassifyMoments:
     def test_lebesgue_critical_exact_ones(self) -> None:
         # mu_n = 1/(n+1) makes every normalized moment exactly 1.
-        v = classify_moments(LEBESGUE, 1.0, n_max=1 << 12)
+        v = classify_moments(LEBESGUE, 1.0)
         assert v.status == "bounded"
         for _, ratio in v.evidence:
             assert ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_lebesgue_supercritical_slope(self) -> None:
-        v = classify_moments(LEBESGUE, 1.5, n_max=1 << 16)
+        v = classify_moments(LEBESGUE, 1.5)
         assert v.status == "unbounded"
         assert v.fitted_slope == pytest.approx(0.5, abs=1e-3)
 
     def test_lebesgue_subcritical_slope(self) -> None:
-        v = classify_moments(LEBESGUE, 0.5, n_max=1 << 16)
+        v = classify_moments(LEBESGUE, 0.5)
         assert v.status == "vanishing"
         assert v.fitted_slope == pytest.approx(-0.5, abs=1e-3)
 
@@ -180,8 +176,6 @@ class TestClassifyMoments:
     def test_validation(self) -> None:
         with pytest.raises(ValueError):
             classify_moments(LEBESGUE, -1.0)
-        with pytest.raises(ValueError):
-            classify_moments(LEBESGUE, 1.0, n_max=63)
 
 
 class TestClassifyBoundedness:
@@ -316,7 +310,7 @@ class TestCheckEquivalence:
     def test_inconclusive_engine_excluded_with_warning(self, monkeypatch) -> None:
         import cesarobench.analysis as analysis
 
-        def stub(m, s, n_max=1 << 20):
+        def stub(m, s):
             return Verdict("moments", "inconclusive", ((1.0, 1.0),), 0.0, 1.0)
 
         monkeypatch.setattr(analysis, "classify_moments", stub)
@@ -328,7 +322,7 @@ class TestCheckEquivalence:
     def test_disagreement_detected(self, monkeypatch) -> None:
         import cesarobench.analysis as analysis
 
-        def stub(m, s, n_max=1 << 20):
+        def stub(m, s):
             return Verdict("moments", "unbounded", ((1.0, 1.0),), 1.0, 0.0)
 
         monkeypatch.setattr(analysis, "classify_moments", stub)

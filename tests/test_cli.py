@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import configparser
 import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ from cesarobench.cli import (
     DEFAULT_MEASURES,
     DEFAULT_PAIRS,
     PanelConfig,
+    _PANEL_KEYS,
     build_panel,
     default_config,
     load_config,
@@ -27,6 +30,15 @@ from cesarobench.cli import (
 from cesarobench.measures import parse_measure
 from cesarobench.operators import norm_growth_profile
 from cesarobench.spaces import SpaceIndex
+
+
+# Measures that must exit 2: an infinite literal, and finite literals whose
+# total mass overflows.  Each with the text its error line must contain.
+NONFINITE_MEASURES = [
+    ("atom(0.5,1e999)", "1e999"),
+    ("atom(0.5,1e308) + atom(0.6,1e308)", "total mass must be finite"),
+    ("powlaw(c=1e300,gamma=-0.99999999999,delta=0)", "total mass must be finite"),
+]
 
 
 class TestSubstituteExponent:
@@ -76,8 +88,6 @@ class TestLoadConfig:
             "pairs = 1.0,1.0; 1.5,0.5\n"
             "sizes = 64,128,256\n"
             "tol = 1e-8\n"
-            "grid_depth = 12\n"
-            "n_max = 16384\n"
             "[measures]\n"
             "leb = lebesgue\n"
             "crit = powlaw(c=1.0, gamma={s-1}, delta=0.0)\n",
@@ -87,8 +97,6 @@ class TestLoadConfig:
         assert config.pairs == ((1.0, 1.0), (1.5, 0.5))
         assert config.equivalence.sizes == (64, 128, 256)
         assert config.equivalence.tol == 1e-8
-        assert config.equivalence.grid_depth == 12
-        assert config.equivalence.n_max == 16384
         assert config.measures == (
             ("crit", "powlaw(c=1.0, gamma={s-1}, delta=0.0)"),
             ("leb", "lebesgue"),
@@ -108,10 +116,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="extras"):
             load_config(str(path))
 
-    def test_unknown_panel_key_rejected(self, tmp_path) -> None:
+    # The tail and moment grids are fixed (analysis.CARLESON_GRID and
+    # MOMENT_GRID), so grid_depth and n_max are unknown keys like any other.
+    @pytest.mark.parametrize("key", ["seed", "grid_depth", "n_max"])
+    def test_unknown_panel_key_rejected(self, tmp_path, key) -> None:
         path = tmp_path / "panel.ini"
-        path.write_text("[panel]\nseed = 7\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="seed"):
+        path.write_text(f"[panel]\n{key} = 7\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"unknown \[panel\] keys: \['{key}'\]"):
             load_config(str(path))
 
     def test_malformed_pairs_rejected(self, tmp_path) -> None:
@@ -123,6 +134,30 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path) -> None:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.ini"))
+
+
+class TestReadmeConfig:
+    """The README's panel config example stays a working config."""
+
+    @staticmethod
+    def _example() -> str:
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(
+            r"^```ini\n(.*?)^```$", readme.read_text(encoding="utf-8"), re.M | re.S
+        )
+        assert len(blocks) == 1
+        return blocks[0]
+
+    def test_example_loads_and_builds(self, tmp_path) -> None:
+        path = tmp_path / "panel.ini"
+        path.write_text(self._example(), encoding="utf-8")
+        config = load_config(str(path))
+        assert len(build_panel(config)) == len(config.measures) * len(config.pairs)
+
+    def test_example_sets_every_panel_key(self) -> None:
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(self._example())
+        assert sorted(parser["panel"]) == sorted(_PANEL_KEYS)
 
 
 class TestBuildPanel:
@@ -348,13 +383,14 @@ class TestCmdNormGrowth:
         self._error_exit(capsys, "--alpha", "nan", "--beta", "1.0")
 
     def test_nonfinite_measure_exit_2(self, capsys) -> None:
-        argv = ["norm-growth", "--measure", "atom(0.5,1e999)",
-                "--alpha", "1.0", "--beta", "1.0", "--sizes", "16,32"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
-        assert "1e999" in captured.err
-        assert captured.out == ""
+        for expr, needle in NONFINITE_MEASURES:
+            argv = ["norm-growth", "--measure", expr,
+                    "--alpha", "1.0", "--beta", "1.0", "--sizes", "16,32"]
+            assert main(argv) == 2, expr
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:")
+            assert needle in captured.err
+            assert captured.out == ""
 
     def test_nan_tol_exit_2(self, capsys) -> None:
         # NaN fails every comparison, so only an explicit finiteness check
@@ -396,8 +432,6 @@ SMALL_CONFIG = (
     "[panel]\n"
     "pairs = 1.0,1.0; 1.5,0.5\n"
     "sizes = 64,128,256,512,1024,2048,4096\n"
-    "grid_depth = 12\n"
-    "n_max = 16384\n"
     "[measures]\n"
     "atom_half = atom(0.5,1.0)\n"
     "lebesgue = lebesgue\n"
@@ -447,10 +481,8 @@ class TestCmdVerify:
             ("sizes = 64,64", "sizes"),
             ("tol = 0", "tol"),
             ("tol = nan", "tol"),
-            ("grid_depth = 4", "grid_depth"),
-            ("n_max = 10", "n_max"),
         ],
-        ids=["sizes", "tol_zero", "tol_nan", "grid_depth", "n_max"],
+        ids=["sizes", "tol_zero", "tol_nan"],
     )
     def test_bad_budget_exit_2(self, tmp_path, capsys, line, field) -> None:
         # Each budget is checked by its engine on the first panel entry,
@@ -469,20 +501,22 @@ class TestCmdVerify:
         assert not (out_dir / "report.json").exists()
 
     def test_nonfinite_measure_exit_2(self, tmp_path, capsys) -> None:
-        # 1e999 parses to inf; unchecked, every engine would run on an
-        # infinite atom and the panel would report a false DISAGREE.
+        # 1e999 parses to inf, and the finite literals of the other two sum
+        # to an infinite total mass; unchecked, every engine would run on an
+        # infinite measure and report overflowed evidence.
         config = tmp_path / "panel.ini"
-        config.write_text(
-            "[panel]\npairs = 1.0,1.0\n[measures]\nbig = atom(0.5,1e999)\n",
-            encoding="utf-8",
-        )
         out_dir = tmp_path / "reports"
-        rc = main(["verify", "--config", str(config), "--out", str(out_dir)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "1e999" in err
-        assert not (out_dir / "report.json").exists()
+        for expr, needle in NONFINITE_MEASURES:
+            config.write_text(
+                f"[panel]\npairs = 1.0,1.0\n[measures]\nbig = {expr}\n",
+                encoding="utf-8",
+            )
+            rc = main(["verify", "--config", str(config), "--out", str(out_dir)])
+            assert rc == 2, expr
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert needle in err
+            assert not (out_dir / "report.json").exists()
 
     def test_huge_mass_panel_exit_0(self, tmp_path, capsys) -> None:
         # A finite mass near the float limit runs every engine without an
@@ -521,7 +555,7 @@ class TestCmdVerify:
         import cesarobench.analysis as analysis
         from cesarobench.analysis import Verdict
 
-        def stub(m, s, n_max=1 << 20):
+        def stub(m, s):
             return Verdict("moments", "unbounded", ((1.0, 1.0),), 1.0, 0.0)
 
         monkeypatch.setattr(analysis, "classify_moments", stub)
@@ -530,8 +564,6 @@ class TestCmdVerify:
             "[panel]\n"
             "pairs = 1.0,1.0\n"
             "sizes = 64,128,256,512,1024\n"
-            "grid_depth = 12\n"
-            "n_max = 16384\n"
             "[measures]\nlebesgue = lebesgue\n",
             encoding="utf-8",
         )

@@ -86,6 +86,9 @@ class TestParser:
             {"densities": ((1.0, math.inf, 0.0),)},
             {"densities": ((1.0, 0.0, math.inf),)},
             {"densities": ((1.0, math.nan, 0.0),)},
+            # Finite fields whose total mass overflows.
+            {"atoms": ((0.5, 1e308), (0.6, 1e308))},
+            {"densities": ((1e300, -0.99999999999, 0.0),)},
         ):
             with pytest.raises(ValueError, match="finite"):
                 Measure(**kwargs)

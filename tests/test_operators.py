@@ -234,9 +234,7 @@ class TestSectionNorm:
             with pytest.raises(ValueError, match="tol"):
                 section_norm(op, tol=tol)
         with pytest.raises(ValueError):
-            OpNormEstimate(-1.0, 0, 0.0, "power_iteration")
-        with pytest.raises(ValueError):
-            OpNormEstimate(1.0, 0, 0.0, "guesswork")
+            OpNormEstimate(-1.0, 0, 0.0)
 
 
 class TestGrowthProfile:
@@ -295,8 +293,6 @@ def test_power_iteration_norm_ignores_blas_threads(tmp_path):
         "[panel]\n"
         "pairs = 1.0,1.0; 0.5,1.5\n"
         "sizes = 64,128,256,512,1024,8192,131072\n"
-        "grid_depth = 12\n"
-        "n_max = 16384\n"
         "[measures]\n"
         "leb = lebesgue\n"
         "crit = powlaw(c=1.0, gamma={s-1}, delta=0.0)\n"
