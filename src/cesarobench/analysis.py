@@ -101,10 +101,6 @@ COMPACT_LEVEL_THRESHOLD = 0.4
 COMPACT_SIZE = 8192
 COMPACT_TRUNCATIONS = tuple(16 << k for k in range(6))
 
-# A tail norm this small relative to the full norm is compact evidence on
-# its own (atom-type measures fall to 0 or denormal territory).
-COMPACT_LEVEL_FLOOR = 1e-6
-
 # Relative plateau tolerance for the norm profile: increments this small
 # mean the profile converged to working precision (vanishing-type
 # measures), short-circuiting the slope fit.
@@ -202,8 +198,10 @@ def _trend(xs, ratios) -> tuple[float, float]:
     grid, with its standard error.
 
     A ratio in that half that is exactly zero has already vanished: the
-    slope is then -inf with standard error 0.
+    slope is then -inf with standard error 0; a non-finite ratio raises.
     """
+    if not all(map(math.isfinite, ratios)):
+        raise ValueError("a ratio exceeds the double range; no trend fits it")
     half = len(ratios) // 2
     if min(ratios[half:]) <= 0.0:
         return -math.inf, 0.0
@@ -313,7 +311,8 @@ def classify_compactness(
     verdict needs both signals from the calibration note on the
     thresholds: decaying tail-norm slope and a small final tail/full level
     for compact; shallow slope and a high level for not compact; mixed or
-    boundary-grazing signals are inconclusive.
+    boundary-grazing signals are inconclusive.  Tails of any size are
+    fitted; only exactly zero ones, from underflowed moments, skip the fit.
     """
     carleson_exponent(alpha, beta)
     if boundedness.status != "bounded":
@@ -331,8 +330,7 @@ def classify_compactness(
     evidence = tuple((float(mm), v) for mm, v in zip(COMPACT_TRUNCATIONS, tails))
 
     slope, stderr = _trend([math.log(mm) for mm in COMPACT_TRUNCATIONS], tails)
-    floored = tails[-1] <= COMPACT_LEVEL_FLOOR * full
-    if full == 0.0 or floored or slope == -math.inf:
+    if full == 0.0 or slope == -math.inf:
         return Verdict("compactness", "vanishing", evidence, -math.inf, 0.0)
     level = tails[-1] / full
     if abs(slope - COMPACT_SLOPE_THRESHOLD) <= stderr:

@@ -10,8 +10,11 @@ lower-triangular matrix
 
 The norm comes from power iteration on A^T A with both matrix-vector
 products applied matrix-free through prefix sums, so no N x N array is
-ever formed.  Iteration stops at the requested tolerance (TOL by default)
-or after MAX_ITER steps, whichever comes first.
+ever formed.  It runs on the row weights divided by the power of two that
+brings their maximum into [1, 2); that is exact, and keeps tails near
+1e-154 from underflowing and masses near 1e300 from overflowing.
+Iteration stops at the requested tolerance (TOL by default) or after
+MAX_ITER steps.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ class OpNormEstimate:
     `value` is a lower bound on the section norm (Rayleigh quotients of
     A^T A underestimate).  `residual` is the last gap between successive
     estimates; it exceeds the requested tolerance only when iteration
-    stopped at MAX_ITER.  `method` names the one route in profile output.
+    stopped at MAX_ITER.  Only an all-zero section skips the iteration, with
+    0 iterations and residual 0.0.  `method` names the route in output.
     """
 
     value: float
@@ -146,19 +150,21 @@ def section_norm(op: SectionOp, tol: float = TOL) -> OpNormEstimate:
     Power iteration on A^T A starts from the all-ones vector, which has
     positive overlap with the top singular vector because every matrix
     entry is nonnegative, and stops when successive Rayleigh estimates
-    differ by less than tol.  Non-convergence within MAX_ITER steps is
-    reported through residual > tol, never raised.
+    differ by less than tol in the caller's units, each scaled back exactly
+    from the power-of-two frame.  Non-convergence within MAX_ITER steps is
+    reported through residual > tol; a norm past the double range raises.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     w_in, w_out = _conjugation_weights(op)
-    # The norm is linear in the row weights.  Dividing them by the power of
-    # two that brings the largest below 2 keeps the sums of squares of huge
-    # measures finite, and is undone exactly on sigma.
-    scale = max(0, math.frexp(float(np.max(w_out)))[1] - 1)
-    if scale:
-        w_out = np.ldexp(w_out, -scale)
+    peak = float(np.max(w_out))
+    if peak == 0.0:
+        return OpNormEstimate(0.0, 0, 0.0)
+    # unit = 2^scale scales back as ldexp would, but overflows to inf.
+    scale = math.frexp(peak)[1] - 1
+    np.ldexp(w_out, -scale, out=w_out)
+    unit = math.ldexp(1.0, scale)
     v = np.full(op.size, 1.0 / math.sqrt(op.size))
     sigma_prev = None
     sigma = 0.0
@@ -167,21 +173,16 @@ def section_norm(op: SectionOp, tol: float = TOL) -> OpNormEstimate:
         av = w_out * np.cumsum(w_in * v)
         # np.sum, unlike the BLAS dot behind np.dot and np.linalg.norm,
         # adds in an order that does not depend on the BLAS thread count.
-        sigma = math.ldexp(math.sqrt(float(np.sum(av * av))), scale)
-        if sigma == 0.0:
-            return OpNormEstimate(0.0, iteration, 0.0)
+        sigma = math.sqrt(float(np.sum(av * av))) * unit
+        if not math.isfinite(sigma):
+            raise ValueError(f"size-{op.size} section norm exceeds the double range")
         if sigma_prev is not None:
             residual = abs(sigma - sigma_prev)
             if residual < tol:
                 return OpNormEstimate(sigma, iteration, residual)
         sigma_prev = sigma
         btv = w_in * np.cumsum((w_out * av)[::-1])[::-1]
-        btv_norm = math.sqrt(float(np.sum(btv * btv)))
-        if btv_norm == 0.0 or not math.isfinite(btv_norm):
-            # The back-applied iterate underflowed (denormal sections);
-            # sigma cannot improve from here.
-            return OpNormEstimate(sigma, iteration, 0.0)
-        v = btv / btv_norm
+        v = btv / math.sqrt(float(np.sum(btv * btv)))
     return OpNormEstimate(sigma, MAX_ITER, residual)
 
 

@@ -40,6 +40,10 @@ NONFINITE_MEASURES = [
     ("powlaw(c=1e300,gamma=-0.99999999999,delta=0)", "total mass must be finite"),
 ]
 
+# A finite measure whose total mass fits but whose tail ratios at s = 1.5
+# and section norms at (1.5, 0.5) do not.
+OVERFLOWING_MEASURE = "powlaw(c=1e307, gamma=0.0, delta=0.0)"
+
 
 class TestSubstituteExponent:
     def test_bare_placeholder(self) -> None:
@@ -392,6 +396,15 @@ class TestCmdNormGrowth:
             assert needle in captured.err
             assert captured.out == ""
 
+    def test_overflowing_norm_exit_2(self, capsys) -> None:
+        argv = ["norm-growth", "--measure", OVERFLOWING_MEASURE,
+                "--alpha", "1.5", "--beta", "0.5", "--sizes", "64,1024"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "double range" in captured.err
+        assert captured.out == ""
+
     def test_nan_tol_exit_2(self, capsys) -> None:
         # NaN fails every comparison, so only an explicit finiteness check
         # keeps it from running every size to the iteration cap.
@@ -530,6 +543,22 @@ class TestCmdVerify:
         rc = main(["verify", "--config", str(config), "--out", str(out_dir)])
         assert rc == 0
         assert "all agree" in capsys.readouterr().out
+
+    def test_overflowing_ratios_exit_2(self, tmp_path, capsys) -> None:
+        # The tail ratios overflow to inf at deep t; a slope fitted through
+        # them would be NaN and read as bounded, a false verdict.
+        config = tmp_path / "panel.ini"
+        config.write_text(
+            f"[panel]\npairs = 1.5,0.5\n[measures]\nbig = {OVERFLOWING_MEASURE}\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "reports"
+        rc = main(["verify", "--config", str(config), "--out", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "double range" in err
+        assert not (out_dir / "report.json").exists()
 
     def test_empty_measures_section_exit_2(self, tmp_path, capsys) -> None:
         config = tmp_path / "panel.ini"

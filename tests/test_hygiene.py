@@ -1,6 +1,7 @@
-"""Static scan of the package and its tests: no unused imports, and no
-__all__ entry that the module does not define.  The package root
-re-exports every module's __all__."""
+"""Static scan of the package and its tests: no unused imports, no
+__all__ entry that the module does not define, and no private top-level
+name that nothing in the package reads.  The package root re-exports
+every module's __all__."""
 
 from __future__ import annotations
 
@@ -10,9 +11,8 @@ from pathlib import Path
 
 import cesarobench
 
-MODULES = sorted(Path(cesarobench.__file__).parent.glob("*.py")) + sorted(
-    Path(__file__).parent.glob("*.py")
-)
+PACKAGE = sorted(Path(cesarobench.__file__).parent.glob("*.py"))
+MODULES = PACKAGE + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _parse(path: Path) -> ast.Module:
@@ -60,6 +60,34 @@ def _defined(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(name for name, _ in _imported(node))
     return names
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Names the module reads: loaded names, attributes and import aliases."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def test_no_unread_module_names() -> None:
+    trees = {path: _parse(path) for path in PACKAGE}
+    exported = set().union(*(_exported(tree) for tree in trees.values()))
+    read = set().union(*(_reads(tree) for tree in trees.values()))
+    unread = [
+        f"{path.name}: {name}"
+        for path, tree in trees.items()
+        for name in sorted(_defined(tree) - exported - read)
+        if not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert not unread, "defined but never read in the package:\n" + "\n".join(
+        unread
+    )
 
 
 def test_no_unused_imports() -> None:

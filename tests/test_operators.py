@@ -188,6 +188,13 @@ class TestSectionNorm:
             pw = section_norm(op, tol=1e-12)
             assert pw.value == pytest.approx(dense_norm(op), rel=1e-8)
             assert pw.residual <= 1e-12
+        # Atom tails near 1e-154, whose squares underflow in plain units;
+        # abs=0 because approx's default absolute slack would pass anything.
+        atom = parse_measure("atom(0.5,1.0)")
+        for a, b in ((1.0, 1.0), (0.5, 1.5), (1.5, 0.5)):
+            op = tail_section(SectionOp(atom, SpaceIndex(a), SpaceIndex(b), 1024), 512)
+            want = pytest.approx(dense_norm(op), rel=1e-8, abs=0.0)
+            assert section_norm(op).value == want, (a, b)
         # Every default-panel entry at the default tol, at the sizes the
         # dense SVD used to serve.
         for name, m, a, b in build_panel(default_config()):
