@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import Measure, dyadic_grid, format_measure, moment, tail_values
+from .measures import Measure, dyadic_grid, format_measure, moments_at, tail_values
 from .operators import (
     TOL,
     SectionOp,
@@ -100,11 +100,6 @@ COMPACT_LEVEL_THRESHOLD = 0.4
 # The budget those thresholds were calibrated at; they hold for no other.
 COMPACT_SIZE = 8192
 COMPACT_TRUNCATIONS = tuple(16 << k for k in range(6))
-
-# Relative plateau tolerance for the norm profile: increments this small
-# mean the profile converged to working precision (vanishing-type
-# measures), short-circuiting the slope fit.
-PLATEAU_RTOL = 1e-6
 
 _KIND_BY_ENGINE = {
     "carleson": {
@@ -250,7 +245,8 @@ def classify_moments(m: Measure, s: float) -> Verdict:
     """Moment-decay engine: q_n = mu_n * (n+1)^s on MOMENT_GRID."""
     if s <= 0:
         raise ValueError("s must be positive")
-    ratios = [moment(m, n) * (n + 1.0) ** s for n in MOMENT_GRID]
+    moments = moments_at(m, MOMENT_GRID)
+    ratios = [float(mu) * (n + 1.0) ** s for mu, n in zip(moments, MOMENT_GRID)]
     status, slope, stderr = _slope_status(
         [math.log(n) for n in MOMENT_GRID], ratios, DEADBAND
     )
@@ -267,14 +263,15 @@ def classify_boundedness(
 ) -> Verdict:
     """Norm-profile engine: section norms over dyadic sizes.
 
-    A profile whose last-quarter increments are below PLATEAU_RTOL of its
-    value has converged and is bounded outright.  Otherwise the log-norm
-    slope against log-size decides, with the wide NORM_DEADBAND (see the
-    constant's calibration note); plateau-free growth slower than the
-    deadband cannot be told apart from a critical transient and would land
-    inconclusive only inside the fit-uncertainty band of the boundary.
+    The log-norm slope against log-size over the deepest half of sizes
+    decides alone, against the wide NORM_DEADBAND (see its calibration
+    note); a slope below the band is bounded too, and growth slower than
+    the band reads as a critical transient.  That half must hold two
+    sizes, so fewer than 3 raise ValueError.
     """
     carleson_exponent(alpha, beta)
+    if len(sizes) < 3:
+        raise ValueError(f"sizes needs at least 3 section sizes, got {len(sizes)}")
     profile = norm_growth_profile(
         m, SpaceIndex(alpha), SpaceIndex(beta), sizes, tol=tol
     )
@@ -284,14 +281,6 @@ def classify_boundedness(
         [math.log(n) for n, _ in profile], values, NORM_DEADBAND
     )
     if status == "vanishing":
-        status = "bounded"
-    # Section norms are nondecreasing in size, so a converged tail of the
-    # profile means the supremum is attained whatever the earlier shape.
-    quarter = max(1, len(values) // 4)
-    increments = [
-        abs(b - a) for a, b in zip(values[-quarter - 1 : -1], values[-quarter:])
-    ]
-    if values[-1] > 0 and all(inc <= PLATEAU_RTOL * values[-1] for inc in increments):
         status = "bounded"
     return Verdict("norm", status, evidence, slope, stderr)
 
@@ -438,13 +427,17 @@ def evaluate_panel(entries, config: EquivalenceConfig | None = None) -> list:
 
     Entries are evaluated independently (thread pool respects
     CESARO_THREADS) and reports come back sorted by name then pair, so the
-    output is schedule-independent.
+    output is schedule-independent.  Engine ValueErrors name their entry.
     """
     ordered = sorted(entries, key=lambda e: (e[0], e[2], e[3]))
 
     def run(entry):
-        _, m, alpha, beta = entry
-        return check_equivalence(m, alpha, beta, config)
+        name, m, alpha, beta = entry
+        try:
+            return check_equivalence(m, alpha, beta, config)
+        except ValueError as exc:
+            where = f"measure {name!r} at pair ({alpha}, {beta})"
+            raise ValueError(f"{where}: {exc}") from exc
 
     workers = _max_workers()
     if workers > 1:

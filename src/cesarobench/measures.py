@@ -3,7 +3,7 @@
 A measure here is a finite sum of point masses at t0 in [0,1) and
 densities c (1-t)^gamma t^delta dt with gamma > -1 (integrable at 1) and
 delta >= 0.  This class is closed-form for both tail masses mu([t,1))
-and moments mu[n], which is what the verdict engines feed on.
+and moments mu[n], which the verdict engines read a grid at a time.
 
 The textual form is::
 
@@ -40,6 +40,7 @@ __all__ = [
     "format_measure",
     "tail_values",
     "moment",
+    "moments_at",
     "moment_sequence",
     "moment_by_parts",
     "dyadic_grid",
@@ -262,8 +263,8 @@ def tail_values(m: Measure, ts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _moments(m: Measure, ns: np.ndarray) -> np.ndarray:
-    """mu[n] for every n in the float array ns (all >= 0), in one pass.
+def moments_at(m: Measure, ns) -> np.ndarray:
+    """mu[n] for every n in the array-like ns (all >= 0), in one pass.
 
     A density contributes c B(n+delta+1, gamma+1), evaluated as
     c Gamma(gamma+1) / poch(n+delta+1, gamma+1); scipy's poch keeps a
@@ -272,8 +273,9 @@ def _moments(m: Measure, ns: np.ndarray) -> np.ndarray:
     passes ~1e308, which would turn the quotient into inf, nan or a
     spurious 0; those entries fall back to exp(betaln), whose cancellation
     costs at most ~1e-9 relative.  Each entry is computed on its own, so
-    the result at n does not depend on the rest of ns.
+    the result at n does not depend on the rest of ns, bit for bit.
     """
+    ns = np.asarray(ns, dtype=float)
     total = np.zeros_like(ns)
     for t0, mass in m.atoms:
         total += mass * t0**ns
@@ -295,12 +297,12 @@ def moment(m: Measure, n: int) -> float:
     """n-th moment: integral of t^n against the measure, n >= 0."""
     if n < 0:
         raise ValueError(f"moment index must be >= 0, got {n!r}")
-    return float(_moments(m, np.array([n], dtype=float))[0])
+    return float(moments_at(m, [n])[0])
 
 
 def moment_sequence(m: Measure, count: int) -> np.ndarray:
     """Moments mu[0..count-1] as an array; entry n equals moment(m, n)."""
-    return _moments(m, np.arange(count, dtype=float))
+    return moments_at(m, np.arange(count, dtype=float))
 
 
 def dyadic_grid(n_max: int) -> list[int]:

@@ -136,10 +136,11 @@ def tail_section(op: SectionOp, m: int) -> SectionOp:
 
 def _conjugation_weights(op: SectionOp) -> tuple[np.ndarray, np.ndarray]:
     """Column weights (k+1)^(-(1-alpha)/2) and row weights, zero below
-    op.first_row."""
+    op.first_row; a row weight past the double range is inf."""
     idx = np.arange(1, op.size + 1, dtype=float)
     w_in = idx ** (-(1.0 - op.alpha.alpha) / 2.0)
-    w_out = idx ** ((1.0 - op.beta.alpha) / 2.0) * op.moments
+    with np.errstate(over="ignore"):
+        w_out = idx ** ((1.0 - op.beta.alpha) / 2.0) * op.moments
     w_out[: op.first_row] = 0.0
     return w_in, w_out
 
@@ -161,6 +162,9 @@ def section_norm(op: SectionOp, tol: float = TOL) -> OpNormEstimate:
     peak = float(np.max(w_out))
     if peak == 0.0:
         return OpNormEstimate(0.0, 0, 0.0)
+    # w_in[0] = 1, so the norm is at least the largest row weight.
+    if not math.isfinite(peak):
+        raise ValueError(f"size-{op.size} section norm exceeds the double range")
     # unit = 2^scale scales back as ldexp would, but overflows to inf.
     scale = math.frexp(peak)[1] - 1
     np.ldexp(w_out, -scale, out=w_out)

@@ -184,6 +184,31 @@ class TestClassifyMoments:
         with pytest.raises(ValueError, match="double range"):
             classify_moments(OVERFLOWING, 1.5)
 
+    def test_one_moment_pass(self, monkeypatch) -> None:
+        # The whole grid comes from one vectorized call, never from
+        # per-index scalar moments.
+        import cesarobench.analysis as analysis
+        import cesarobench.measures as measures
+
+        calls = {"moments_at": 0, "moment": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (analysis, measures):
+            monkeypatch.setattr(
+                module, "moments_at", counted("moments_at", measures.moments_at),
+                raising=False,
+            )
+            monkeypatch.setattr(
+                module, "moment", counted("moment", measures.moment), raising=False
+            )
+        classify_moments(LEBESGUE, 1.0)
+        assert calls == {"moments_at": 1, "moment": 0}
+
 
 class TestClassifyBoundedness:
     def test_critical_is_bounded(self) -> None:
@@ -220,7 +245,11 @@ class TestClassifyBoundedness:
         with pytest.raises(ValueError):
             classify_boundedness(LEBESGUE, 2.5, 1.0, FAST_SIZES)
         with pytest.raises(ValueError):
-            classify_boundedness(LEBESGUE, 1.0, 1.0, (64, 64))
+            classify_boundedness(LEBESGUE, 1.0, 1.0, (64, 64, 128))
+        # Fewer than 3 sizes leave under two points in the deepest half.
+        for sizes in ((64,), (8, 16)):
+            with pytest.raises(ValueError, match="sizes"):
+                classify_boundedness(LEBESGUE, 1.0, 1.0, sizes)
 
 
 class TestClassifyCompactness:

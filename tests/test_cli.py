@@ -397,13 +397,19 @@ class TestCmdNormGrowth:
             assert captured.out == ""
 
     def test_overflowing_norm_exit_2(self, capsys) -> None:
-        argv = ["norm-growth", "--measure", OVERFLOWING_MEASURE,
-                "--alpha", "1.5", "--beta", "0.5", "--sizes", "64,1024"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
-        assert "double range" in captured.err
-        assert captured.out == ""
+        # The second measure's total mass fits, but its row weight
+        # (n+1)^0.45 mu_n does not.
+        for measure, alpha, beta, sizes in [
+            (OVERFLOWING_MEASURE, "1.5", "0.5", "64,1024"),
+            ("atom(0.99999,1.7e308)", "1", "0.1", "16,32"),
+        ]:
+            argv = ["norm-growth", "--measure", measure,
+                    "--alpha", alpha, "--beta", beta, "--sizes", sizes]
+            assert main(argv) == 2, measure
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:")
+            assert "double range" in captured.err
+            assert captured.out == ""
 
     def test_nan_tol_exit_2(self, capsys) -> None:
         # NaN fails every comparison, so only an explicit finiteness check
@@ -492,10 +498,12 @@ class TestCmdVerify:
         "line, field",
         [
             ("sizes = 64,64", "sizes"),
+            ("sizes = 64", "sizes"),
+            ("sizes = 8,16", "sizes"),
             ("tol = 0", "tol"),
             ("tol = nan", "tol"),
         ],
-        ids=["sizes", "tol_zero", "tol_nan"],
+        ids=["sizes", "sizes_one", "sizes_two", "tol_zero", "tol_nan"],
     )
     def test_bad_budget_exit_2(self, tmp_path, capsys, line, field) -> None:
         # Each budget is checked by its engine on the first panel entry,
@@ -549,7 +557,8 @@ class TestCmdVerify:
         # them would be NaN and read as bounded, a false verdict.
         config = tmp_path / "panel.ini"
         config.write_text(
-            f"[panel]\npairs = 1.5,0.5\n[measures]\nbig = {OVERFLOWING_MEASURE}\n",
+            "[panel]\npairs = 1.5,0.5\nsizes = 64,128,256\n[measures]\n"
+            f"big = {OVERFLOWING_MEASURE}\nleb = lebesgue\n",
             encoding="utf-8",
         )
         out_dir = tmp_path / "reports"
@@ -558,6 +567,8 @@ class TestCmdVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "double range" in err
+        # The error names the failing entry among the good ones.
+        assert "'big'" in err and "(1.5, 0.5)" in err
         assert not (out_dir / "report.json").exists()
 
     def test_empty_measures_section_exit_2(self, tmp_path, capsys) -> None:

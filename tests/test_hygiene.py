@@ -124,3 +124,22 @@ def test_root_exports() -> None:
         names = importlib.import_module(f"cesarobench.{module}").__all__
         absent = sorted(set(names) - set(cesarobench.__all__))
         assert not absent, f"{module}.__all__ names missing from the root: {absent}"
+
+
+def test_no_private_cross_module_imports() -> None:
+    # Modules share only public names, so a module's private helpers stay
+    # free to change.
+    private = []
+    for path in PACKAGE:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("cesarobench")
+            ):
+                private += [
+                    f"{path.name}:{node.lineno}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert not private, "private names imported across modules:\n" + "\n".join(
+        private
+    )

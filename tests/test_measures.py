@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from cesarobench.analysis import MOMENT_GRID
 from cesarobench.cli import build_panel, default_config
 from cesarobench.measures import (
     Measure,
@@ -18,6 +19,7 @@ from cesarobench.measures import (
     moment,
     moment_by_parts,
     moment_sequence,
+    moments_at,
     parse_measure,
     tail_values,
 )
@@ -245,6 +247,9 @@ class TestMoment:
             seq = moment_sequence(m, 65)
             for n in (0, 1, 7, 64):
                 assert seq[n] == moment(m, n)
+            grid = moments_at(m, MOMENT_GRID)
+            for i, n in enumerate(MOMENT_GRID):
+                assert grid[i] == moment(m, n)
 
 
 def _exact_moment(c: float, gamma: float, delta: float, n: int):
