@@ -231,6 +231,12 @@ class TestCmdMoments:
         err = capsys.readouterr().err
         assert err.startswith("error:")
 
+    def test_n_max_past_double_range_exit_2(self, capsys) -> None:
+        # Powers of two above the double range cannot be moment indices.
+        assert main(["moments", "--measure", "lebesgue", "--n-max", str(10**309)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_max" in err
+
     def test_byte_identical_reruns(self, tmp_path) -> None:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["moments", "--measure", "atom(0.3,0.7) + lebesgue", "--n-max", "64"]

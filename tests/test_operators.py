@@ -289,10 +289,11 @@ class TestGrowthProfile:
 
 
 def test_power_iteration_norm_ignores_blas_threads(tmp_path):
-    # The reductions in the power iteration and in the geometric family's
-    # normalizer avoid BLAS, whose summation order can depend on the number
-    # of threads, so a whole verify run, one large section and one long
-    # geometric packet are byte-identical under 1 and 2 BLAS threads.
+    # The reductions in the power iteration, in the geometric family's
+    # normalizer and in the by-parts moment avoid BLAS, whose summation
+    # order can depend on the number of threads, so a whole verify run, one
+    # large section, one long geometric packet and one by-parts moment are
+    # byte-identical under 1 and 2 BLAS threads.
     # Small sections run single-threaded in BLAS anyway; the sizes reach
     # 2^17 so that a BLAS reduction would show in the reports too.
     config = tmp_path / "panel.ini"
@@ -309,7 +310,7 @@ def test_power_iteration_norm_ignores_blas_threads(tmp_path):
     script = (
         "import sys\n"
         "from cesarobench.cli import main\n"
-        "from cesarobench.measures import parse_measure\n"
+        "from cesarobench.measures import moment_by_parts, parse_measure\n"
         "from cesarobench.operators import SectionOp, section_norm\n"
         "from cesarobench.spaces import SpaceIndex, truncated_geometric_family\n"
         "assert main(['verify', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
@@ -318,6 +319,8 @@ def test_power_iteration_norm_ignores_blas_threads(tmp_path):
         "print(repr(section_norm(op).value))\n"
         "f = truncated_geometric_family(SpaceIndex(0.7), 0.9999, 20000)\n"
         "print(repr(float(f.coeffs[0])))\n"
+        "mix = parse_measure('atom(0.9,0.25) + powlaw(c=0.5, gamma=0.5, delta=1.0)')\n"
+        "print(repr(moment_by_parts(mix, 1 << 20)))\n"
     )
     src = str(Path(cesarobench.__file__).resolve().parent.parent)
     outputs = []
