@@ -237,6 +237,31 @@ class TestCmdMoments:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "n_max" in err
 
+    def test_by_parts_cells_empty_past_its_accuracy_limit(self, tmp_path, capsys) -> None:
+        # Past n = 2^32 the by-parts route drifts (2.1e-5 relative at 2^40),
+        # so its cells are empty in csv and null in json.
+        expr = "atom(0.5,1)+lebesgue"
+        args = ["moments", "--measure", expr, "--n-max", str(1 << 40)]
+        assert main(args) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [1 << k for k in range(41)]
+        for r in rows:
+            if int(r[0]) > 1 << 32:
+                assert r[1] and r[2:] == ["", ""], r
+            else:
+                assert float(r[2]) == pytest.approx(float(r[1]), rel=1e-7), r
+        out = tmp_path / "moments.json"
+        assert main(args + ["--out", str(out), "--format", "json"]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        late = [row for row in doc["rows"] if row["n"] > 1 << 32]
+        assert len(late) == 8
+        assert all(row["moment_by_parts"] is None and row["abs_diff"] is None for row in late)
+        assert all(row["moment"] > 0 for row in late)
+        # The rows up to 2^32 are those of a table that stops there.
+        short = tmp_path / "short.json"
+        assert main(args[:-1] + [str(1 << 32), "--out", str(short), "--format", "json"]) == 0
+        assert doc["rows"][:33] == json.loads(short.read_text(encoding="utf-8"))["rows"]
+
     def test_byte_identical_reruns(self, tmp_path) -> None:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["moments", "--measure", "atom(0.3,0.7) + lebesgue", "--n-max", "64"]

@@ -12,11 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 import cesarobench
 from cesarobench import operators
-from cesarobench.cli import build_panel, default_config
+from cesarobench.cli import PanelConfig, build_panel, default_config
 from cesarobench.measures import Measure, moment, moment_sequence, parse_measure
 from cesarobench.operators import (
+    MAX_ITER,
+    TOL,
     OpNormEstimate,
     SectionOp,
+    _conjugation_weights,
     apply,
     norm_growth_profile,
     section_norm,
@@ -37,6 +40,46 @@ def brute_force_apply(op: SectionOp, f: np.ndarray) -> np.ndarray:
         if n >= op.first_row:
             out[n] = op.moments[n] * acc
     return out
+
+
+def reference_section_norm(op: SectionOp, tol: float = TOL):
+    """Cold-start power iteration as plain allocating expressions: the
+    operation order section_norm's in-place buffers must keep bit for bit.
+    Returns (value, iterations, residual)."""
+    w_in, w_out = _conjugation_weights(op)
+    peak = float(np.max(w_out))
+    if peak == 0.0:
+        return 0.0, 0, 0.0
+    scale = math.frexp(peak)[1] - 1
+    w_out = np.ldexp(w_out, -scale)
+    unit = math.ldexp(1.0, scale)
+    v = np.full(op.size, 1.0 / math.sqrt(op.size))
+    sigma_prev = None
+    sigma = 0.0
+    residual = math.inf
+    for iteration in range(1, MAX_ITER + 1):
+        av = w_out * np.cumsum(w_in * v)
+        sigma = math.sqrt(float(np.sum(av * av))) * unit
+        if sigma_prev is not None:
+            residual = abs(sigma - sigma_prev)
+            if residual < tol:
+                return sigma, iteration, residual
+        sigma_prev = sigma
+        btv = w_in * np.cumsum((w_out * av)[::-1])[::-1]
+        v = btv / math.sqrt(float(np.sum(btv * btv)))
+    return sigma, MAX_ITER, residual
+
+
+def hardy_lower_bound(op: SectionOp) -> float:
+    """B = max_m sqrt(sum_{k<=m} w_in_k^2 * sum_{n>=m} w_out_n^2) <= ||A||,
+    from the weights written out here rather than taken from operators."""
+    idx = np.arange(1, op.size + 1, dtype=float)
+    w_in = idx ** (-(1.0 - op.alpha.alpha) / 2.0)
+    w_out = idx ** ((1.0 - op.beta.alpha) / 2.0) * op.moments
+    w_out[: op.first_row] = 0.0
+    head = np.cumsum(w_in * w_in)
+    tail = np.cumsum((w_out * w_out)[::-1])[::-1]
+    return math.sqrt(float(np.max(head * tail)))
 
 
 class TestSectionOp:
@@ -242,6 +285,60 @@ class TestSectionNorm:
                 section_norm(op, tol=tol)
         with pytest.raises(ValueError):
             OpNormEstimate(-1.0, 0, 0.0)
+        for start in ([], [1.0] * 5, [[1.0]], [1.0, -0.1], [0.0, 1.0],
+                      [1.0, math.nan], [math.inf]):
+            with pytest.raises(ValueError, match="start"):
+                section_norm(op, start=start)
+
+    def test_cold_start_matches_allocating_loop_bitwise(self):
+        # Every default-panel entry, full sections at 64 and 8192 and the
+        # size-8192 tails above M = 16 and 512.
+        for name, m, a, b in build_panel(default_config()):
+            big = SectionOp(m, SpaceIndex(a), SpaceIndex(b), 8192)
+            small = SectionOp(m, SpaceIndex(a), SpaceIndex(b), 64, moments=big.moments)
+            for op in (small, big, tail_section(big, 16), tail_section(big, 512)):
+                est = section_norm(op)
+                want = reference_section_norm(op)
+                got = (est.value, est.iterations, est.residual)
+                assert got == want, (name, a, b, op.size, op.first_row)
+
+    def test_vector_is_the_read_only_unit_iterate(self):
+        op = SectionOp(LEB, SpaceIndex(1.5), SpaceIndex(0.5), 256)
+        est = section_norm(op)
+        assert est.vector.shape == (256,)
+        assert not est.vector.flags.writeable
+        assert float(np.sum(est.vector**2)) == pytest.approx(1.0, rel=1e-14)
+        assert np.all(est.vector > 0.0)
+        # ||A v|| is the reported value.
+        w_in, w_out = _conjugation_weights(op)
+        image = w_out * np.cumsum(w_in * est.vector)
+        assert math.sqrt(float(np.sum(image**2))) == pytest.approx(est.value, rel=1e-14)
+        assert est == OpNormEstimate(est.value, est.iterations, est.residual)
+        assert "vector" not in repr(est)
+
+    def test_start_is_extended_by_its_last_entry_then_normalized(self):
+        # An all-zero section returns its start vector uniterated.
+        op = tail_section(SectionOp(Measure.atom(0.0, 1.0), S1, S1, 100), 0)
+        start = np.linspace(2.0, 1.0, 64)
+        est = section_norm(op, start=start)
+        assert (est.value, est.iterations) == (0.0, 0)
+        want = np.concatenate([start, np.full(36, 1.0)])
+        assert np.allclose(est.vector, want / np.linalg.norm(want), rtol=1e-15, atol=0)
+        tiny = section_norm(op, start=[1e-200]).vector
+        assert np.allclose(tiny, 0.1, rtol=1e-15, atol=0)
+
+    def test_warm_start_from_a_size_that_does_not_divide(self, dense_norm):
+        m = parse_measure("atom(0.9,0.25)+powlaw(c=0.5,gamma=0.5,delta=1)")
+        alpha, beta = SpaceIndex(1.5), SpaceIndex(0.5)
+        seq = moment_sequence(m, 100)
+        prev = section_norm(SectionOp(m, alpha, beta, 64, moments=seq))
+        op = SectionOp(m, alpha, beta, 100, moments=seq)
+        warm = section_norm(op, start=prev.vector)
+        cold = section_norm(op)
+        assert warm.vector.shape == (100,)
+        assert warm.iterations < cold.iterations
+        assert warm.value == pytest.approx(dense_norm(op), rel=1e-8)
+        assert warm.value <= dense_norm(op) * (1 + 1e-12)
 
 
 class TestGrowthProfile:
@@ -276,8 +373,32 @@ class TestGrowthProfile:
         for op, (n, est) in zip(seen, prof):
             fresh = SectionOp(m, alpha, beta, n)
             assert np.array_equal(op.moments, fresh.moments)
-            assert est == section_norm(fresh)
+            # Larger sizes start warm, so they agree with a cold start to
+            # the tolerance, not bitwise.
+            assert est.value == pytest.approx(section_norm(fresh).value, rel=1e-8)
             assert np.shares_memory(op.moments, seen[-1].moments)
+
+    def test_warm_profile_saves_iterations_and_stays_bracketed(self, dense_norm):
+        names = ("lebesgue", "powlaw_near", "mix_atom_crit")
+        config = PanelConfig(
+            measures=tuple(e for e in default_config().measures if e[0] in names),
+            pairs=((1.0, 1.0), (1.5, 0.5)),
+        )
+        warm_iterations = cold_iterations = 0
+        for name, m, a, b in build_panel(config):
+            alpha, beta = SpaceIndex(a), SpaceIndex(b)
+            for n, est in norm_growth_profile(m, alpha, beta, [1 << k for k in range(10, 15)]):
+                op = SectionOp(m, alpha, beta, n)
+                warm_iterations += est.iterations
+                cold_iterations += section_norm(op).iterations
+                assert est.value >= hardy_lower_bound(op) * (1 - 1e-12), (name, a, n)
+            for n, est in norm_growth_profile(m, alpha, beta, [64, 128, 256, 512]):
+                op = SectionOp(m, alpha, beta, n)
+                assert est.value >= hardy_lower_bound(op) * (1 - 1e-12), (name, a, n)
+                assert est.value == pytest.approx(dense_norm(op), rel=1e-8), (name, a, n)
+        # Lebesgue measure at (1.5, 0.5) alone takes a few more warm steps
+        # than cold ones (53 against 50); the six take 304 against 479.
+        assert warm_iterations < cold_iterations
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
