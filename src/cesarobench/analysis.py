@@ -16,8 +16,10 @@ same trend rule.  Cross-engine agreement is the property under empirical
 test; a disagreement is a falsification event.
 
 Decision constants are frozen from calibration runs documented alongside
-each constant, on the fixed grids beside them; EquivalenceConfig holds the
-only settable budgets.  All engines are pure and deterministic.
+each constant, on the fixed grids beside them.  The only settable budgets,
+the norm engine's sizes (default NORM_SIZES) and the power-iteration tol,
+are plain arguments of check_equivalence and evaluate_panel, and
+cli.PanelConfig holds them.  All engines are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -47,12 +49,12 @@ __all__ = [
     "CARLESON_GRID",
     "MOMENT_GRID",
     "NORM_DEADBAND",
+    "NORM_SIZES",
     "COMPACT_SLOPE_THRESHOLD",
     "COMPACT_LEVEL_THRESHOLD",
     "COMPACT_SIZE",
     "COMPACT_TRUNCATIONS",
     "Verdict",
-    "EquivalenceConfig",
     "EquivalenceReport",
     "Prop1Bound",
     "carleson_exponent",
@@ -87,6 +89,10 @@ MOMENT_GRID = tuple(dyadic_grid(1 << 20))
 # slower than this is indistinguishable from a critical transient at desk
 # scale and lands in the deadband rather than being misclassified.
 NORM_DEADBAND = 0.08
+
+# The default section sizes of the norm engine, 64..2^17, which
+# NORM_DEADBAND was set on.
+NORM_SIZES = tuple(1 << k for k in range(6, 18))
 
 # Compactness thresholds, calibrated at section size 8192 with truncation
 # points 16..512 (keeping M <= N/16; larger M lets the section window
@@ -168,19 +174,6 @@ class Verdict:
         return self.status == "vanishing"
 
 
-@dataclass(frozen=True)
-class EquivalenceConfig:
-    """The settable budgets of an equivalence check, each range-checked on
-    first use: the norm engine's section sizes by norm_growth_profile, and
-    the power-iteration tol of the norm and compactness engines by
-    section_norm.  The other engines run on fixed grids (CARLESON_GRID,
-    MOMENT_GRID, COMPACT_SIZE and COMPACT_TRUNCATIONS).
-    """
-
-    sizes: tuple[int, ...] = tuple(1 << k for k in range(6, 18))
-    tol: float = TOL
-
-
 def carleson_exponent(alpha: float, beta: float) -> float:
     """Critical tail exponent s = 1 + (alpha - beta)/2 for the pair."""
     require_index(alpha, "alpha")
@@ -258,7 +251,7 @@ def classify_boundedness(
     m: Measure,
     alpha: float,
     beta: float,
-    sizes=EquivalenceConfig.sizes,
+    sizes=NORM_SIZES,
     tol: float = TOL,
 ) -> Verdict:
     """Norm-profile engine: section norms over dyadic sizes.
@@ -362,16 +355,15 @@ def check_equivalence(
     m: Measure,
     alpha: float,
     beta: float,
-    config: EquivalenceConfig | None = None,
+    sizes=NORM_SIZES,
+    tol: float = TOL,
 ) -> EquivalenceReport:
     """Run every engine on one (measure, pair) entry and compare verdicts."""
-    if config is None:
-        config = EquivalenceConfig()
     s = carleson_exponent(alpha, beta)
     verdicts = {
         "carleson": classify_carleson(m, s),
         "moments": classify_moments(m, s),
-        "norm": classify_boundedness(m, alpha, beta, config.sizes, config.tol),
+        "norm": classify_boundedness(m, alpha, beta, sizes, tol),
     }
     warnings = [
         f"{name} engine inconclusive"
@@ -387,7 +379,7 @@ def check_equivalence(
         norm_v = verdicts["norm"]
         if norm_v.status == "bounded":
             verdicts["compactness"] = classify_compactness(
-                m, alpha, beta, norm_v, config.tol
+                m, alpha, beta, norm_v, tol
             )
             if verdicts["compactness"].status == "inconclusive":
                 warnings.append("compactness engine inconclusive")
@@ -422,7 +414,7 @@ def _max_workers() -> int:
     return workers
 
 
-def evaluate_panel(entries, config: EquivalenceConfig | None = None) -> list:
+def evaluate_panel(entries, sizes=NORM_SIZES, tol: float = TOL) -> list:
     """check_equivalence over (name, measure, alpha, beta) entries.
 
     Entries are evaluated independently (thread pool respects
@@ -434,7 +426,7 @@ def evaluate_panel(entries, config: EquivalenceConfig | None = None) -> list:
     def run(entry):
         name, m, alpha, beta = entry
         try:
-            return check_equivalence(m, alpha, beta, config)
+            return check_equivalence(m, alpha, beta, sizes, tol)
         except ValueError as exc:
             where = f"measure {name!r} at pair ({alpha}, {beta})"
             raise ValueError(f"{where}: {exc}") from exc
@@ -570,18 +562,13 @@ class Prop1Bound:
 
     so both inequalities hold exactly when the ratios are <= 1.  The
     infinite sum in the second is bounded above by its partial sum plus an
-    integral remainder, making the reported ratio conservative.  Iterating
-    the dataclass yields (section_norm_value, bound).
+    integral remainder, making the reported ratio conservative.
     """
 
     section_norm_value: float
     bound: float
     prefix_max_ratio: float
     suffix_max_ratio: float
-
-    def __iter__(self):
-        yield self.section_norm_value
-        yield self.bound
 
 
 def prop1_bound_check(alpha: float, n: int = 4096) -> Prop1Bound:

@@ -29,13 +29,19 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import (
-    EquivalenceConfig,
+    NORM_SIZES,
     carleson_exponent,
     evaluate_panel,
     reports_to_csv,
     reports_to_json,
 )
-from .measures import dyadic_grid, moment_by_parts, moments_at, parse_measure
+from .measures import (
+    BY_PARTS_N_MAX,
+    dyadic_grid,
+    moment_by_parts,
+    moments_at,
+    parse_measure,
+)
 from .operators import TOL, norm_growth_profile
 from .spaces import SpaceIndex
 
@@ -77,12 +83,13 @@ class PanelConfig:
     """Named measure templates, space pairs, and the engines' budgets.
 
     Only emptiness is checked here: the pair range by carleson_exponent in
-    build_panel, each budget by the engine that uses it.
+    build_panel, sizes by the norm engine and tol by section_norm.
     """
 
     measures: tuple[tuple[str, str], ...] = DEFAULT_MEASURES
     pairs: tuple[tuple[float, float], ...] = DEFAULT_PAIRS
-    equivalence: EquivalenceConfig = EquivalenceConfig()
+    sizes: tuple[int, ...] = NORM_SIZES
+    tol: float = TOL
 
     def __post_init__(self) -> None:
         if not self.measures:
@@ -103,8 +110,8 @@ def load_config(path: str) -> PanelConfig:
 
     [panel] keys (all optional, no others): pairs as semicolon-separated
     alpha,beta; sizes as comma-separated integers; tol a scalar.  sizes
-    and tol become the panel's EquivalenceConfig and are checked only by
-    the engines that use them.  [measures] maps entry names to
+    and tol become PanelConfig.sizes and .tol and are checked only by the
+    engines that use them.  [measures] maps entry names to
     measure expressions, which may use {s...} placeholders.  Omitted parts
     fall back to the default panel.
     """
@@ -124,7 +131,6 @@ def load_config(path: str) -> PanelConfig:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
     kwargs: dict = {}
-    budgets: dict = {}
     if parser.has_section("panel"):
         panel = parser["panel"]
         bad = set(panel) - set(_PANEL_KEYS)
@@ -141,14 +147,14 @@ def load_config(path: str) -> PanelConfig:
                     pairs.append((a, b))
                 kwargs["pairs"] = tuple(pairs)
             if "sizes" in panel:
-                budgets["sizes"] = _parse_sizes(panel["sizes"])
+                kwargs["sizes"] = _parse_sizes(panel["sizes"])
             if "tol" in panel:
-                budgets["tol"] = float(panel["tol"])
+                kwargs["tol"] = float(panel["tol"])
         except ValueError as exc:
             raise ConfigError(f"malformed [panel] value: {exc}") from exc
     if parser.has_section("measures"):
         kwargs["measures"] = tuple(sorted(parser["measures"].items()))
-    return PanelConfig(equivalence=EquivalenceConfig(**budgets), **kwargs)
+    return PanelConfig(**kwargs)
 
 
 _PLACEHOLDER = re.compile(
@@ -210,22 +216,17 @@ def _write_table(out: str | None, fmt: str, head: dict, columns, rows) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-# Largest n at which moment_by_parts keeps its 1e-7 accuracy; past it
-# u^(1/n) rounds near 1 and the route drifts (2.1e-5 relative at 2^40).
-_BY_PARTS_N_MAX = 1 << 32
-
-
 def cmd_moments(expr: str, n_max: int, out: str | None, fmt: str = "csv") -> int:
     """Dyadic moment table with the by-parts cross-check column.
 
-    Past n = 2^32 the by-parts route carries no accuracy, so its two cells
-    are left empty in csv and null in json.
+    Past measures.BY_PARTS_N_MAX the by-parts route carries no accuracy, so
+    its two cells are left empty in csv and null in json.
     """
     m = parse_measure(expr)
     grid = dyadic_grid(n_max)
     rows = []
     for n, direct in zip(grid, moments_at(m, grid).tolist()):
-        if n > _BY_PARTS_N_MAX:
+        if n > BY_PARTS_N_MAX:
             rows.append((n, direct, None, None))
             continue
         by_parts = moment_by_parts(m, n)
@@ -259,7 +260,7 @@ def cmd_norm_growth(
 def cmd_verify(config_path: str | None, out_dir: str) -> int:
     """Run the equivalence panel and write report.json / report.csv."""
     config = default_config() if config_path is None else load_config(config_path)
-    named = evaluate_panel(build_panel(config), config.equivalence)
+    named = evaluate_panel(build_panel(config), config.sizes, config.tol)
 
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -341,9 +342,7 @@ def main(argv=None) -> int:
                 args.out,
                 args.format,
             )
-        if args.command == "verify":
-            return cmd_verify(args.config, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_verify(args.config, args.out)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

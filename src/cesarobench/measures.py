@@ -44,6 +44,7 @@ __all__ = [
     "moments_at",
     "moment_sequence",
     "moment_by_parts",
+    "BY_PARTS_N_MAX",
     "dyadic_grid",
 ]
 
@@ -338,6 +339,10 @@ _U_EDGES = np.array(
     + [1.0 - 0.5**j for j in range(1, _PANEL_DEPTH + 1)]
 )
 
+# Largest n at which moment_by_parts keeps its 1e-7 accuracy; past it
+# u^(1/n) rounds near 1 and the route drifts (2.1e-5 relative at 2^40).
+BY_PARTS_N_MAX = 1 << 32
+
 
 def moment_by_parts(m: Measure, n: int) -> float:
     """mu[n] recomputed as n * int_0^1 t^{n-1} mu([t,1)) dt, n >= 1.
@@ -347,12 +352,15 @@ def moment_by_parts(m: Measure, n: int) -> float:
     that depends on n, so one fixed panel set serves every n: 24-point
     Gauss-Legendre on panels with edges 0, 1, 2^-j and 1 - 2^-j for
     j = 1.._PANEL_DEPTH, plus each atom's jump at u = t0^n.  Accurate to
-    1e-7 relative up to n = 2^32; beyond that u^{1/n} rounds near 1, so
-    1 - t carries about 1e-16 / (1 - t) relative error.  Serves as an
-    independent cross-check of moment().
+    1e-7 relative up to n = BY_PARTS_N_MAX = 2^32; a larger n raises
+    ValueError, since there u^{1/n} rounds near 1 and 1 - t carries about
+    1e-16 / (1 - t) relative error.  Serves as an independent cross-check
+    of moment().
     """
-    if n < 1:
-        raise ValueError("integration by parts requires n >= 1")
+    if not 1 <= n <= BY_PARTS_N_MAX:
+        raise ValueError(
+            f"integration by parts requires 1 <= n <= {BY_PARTS_N_MAX}, got {n}"
+        )
     edges = np.unique(np.concatenate([_U_EDGES, [t0**n for t0, _ in m.atoms]]))
     half = 0.5 * np.diff(edges)[:, None]
     us = edges[:-1, None] + half * (1.0 + _GL_NODES)

@@ -172,11 +172,11 @@ def _start_vector(start, size: int) -> np.ndarray:
     return v
 
 
-def section_norm(op: SectionOp, tol: float = TOL, start=None) -> OpNormEstimate:
+def section_norm(op: SectionOp, tol: float = TOL, start=(1.0,)) -> OpNormEstimate:
     """Largest singular value of the conjugated section matrix.
 
-    Power iteration on A^T A starts from `start` when given, else from the
-    all-ones vector, and stops when successive Rayleigh estimates differ by
+    Power iteration on A^T A starts from `start`, by default the all-ones
+    vector, and stops when successive Rayleigh estimates differ by
     less than tol in the caller's units, each scaled back exactly from the
     power-of-two frame.  A start shorter than the section is extended by
     repeating its last entry, then normalized; it must be nonnegative with
@@ -185,17 +185,14 @@ def section_norm(op: SectionOp, tol: float = TOL, start=None) -> OpNormEstimate:
     entrywise positive on the columns up to the last nonzero row and zero
     beyond them; by Perron-Frobenius the top right singular vector is
     positive on those columns, the first among them.  The final iterate of
-    a smaller nested section is such a start.  Without a start the result
-    is bit for bit that of the plain allocating loop sketched below.
+    a smaller nested section is such a start.  From the default start the
+    result is bit for bit that of the plain allocating loop sketched below.
     Non-convergence within MAX_ITER steps is reported through
     residual > tol; a norm past the double range raises.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if start is None:
-        v = np.full(op.size, 1.0 / math.sqrt(op.size))
-    else:
-        v = _start_vector(start, op.size)
+    v = _start_vector(start, op.size)
 
     w_in, w_out = _conjugation_weights(op)
     peak = float(np.max(w_out))
@@ -268,7 +265,7 @@ def norm_growth_profile(
     moments = moment_sequence(measure, sizes[-1])
 
     profile = []
-    start = None
+    start = (1.0,)
     for n in sizes:
         op = SectionOp(measure, alpha, beta, n, moments=moments)
         est = section_norm(op, tol=tol, start=start)

@@ -21,7 +21,6 @@ from cesarobench.analysis import (
     COMPACT_SIZE,
     COMPACT_SLOPE_THRESHOLD,
     NORM_DEADBAND,
-    EquivalenceConfig,
     Verdict,
     carleson_exponent,
     check_equivalence,
@@ -48,7 +47,6 @@ OVERFLOWING = parse_measure("powlaw(c=1e307, gamma=0.0, delta=0.0)")
 # Reduced sizes keep unit tests fast; verdicts at these sizes were
 # verified to match the full-budget ones for the measures used here.
 FAST_SIZES = tuple(1 << k for k in range(6, 13))
-FAST_CONFIG = EquivalenceConfig(sizes=FAST_SIZES)
 BOUNDED_OK = Verdict("norm", "bounded", ((1.0, 1.0),), 0.0, 0.0)
 
 
@@ -332,7 +330,7 @@ class TestVerdict:
 class TestCheckEquivalence:
     def test_bounded_entry_full_agreement(self) -> None:
         m = parse_measure("powlaw(c=1.0, gamma=0.0, delta=0.0)")
-        rep = check_equivalence(m, 1.0, 1.0, FAST_CONFIG)
+        rep = check_equivalence(m, 1.0, 1.0, sizes=FAST_SIZES)
         assert rep.s == 1.0
         assert rep.boundedness_agree is True
         assert rep.compactness_agree is True
@@ -342,7 +340,7 @@ class TestCheckEquivalence:
         assert rep.ok
 
     def test_unbounded_entry(self) -> None:
-        rep = check_equivalence(LEBESGUE, 1.5, 0.5, FAST_CONFIG)
+        rep = check_equivalence(LEBESGUE, 1.5, 0.5, sizes=FAST_SIZES)
         assert rep.boundedness_agree is True
         assert rep.compactness_agree is None
         assert "compactness" not in rep.verdicts
@@ -350,7 +348,7 @@ class TestCheckEquivalence:
         assert rep.ok
 
     def test_vanishing_entry(self) -> None:
-        rep = check_equivalence(ATOM_HALF, 1.0, 1.0, FAST_CONFIG)
+        rep = check_equivalence(ATOM_HALF, 1.0, 1.0, sizes=FAST_SIZES)
         assert rep.boundedness_agree is True
         assert rep.compactness_agree is True
         assert rep.verdicts["compactness"].kind == "compact"
@@ -362,7 +360,7 @@ class TestCheckEquivalence:
             return Verdict("moments", "inconclusive", ((1.0, 1.0),), 0.0, 1.0)
 
         monkeypatch.setattr(analysis, "classify_moments", stub)
-        rep = check_equivalence(LEBESGUE, 1.0, 1.0, FAST_CONFIG)
+        rep = check_equivalence(LEBESGUE, 1.0, 1.0, sizes=FAST_SIZES)
         assert rep.boundedness_agree is True
         assert "moments engine inconclusive" in rep.warnings
         assert rep.ok
@@ -374,7 +372,7 @@ class TestCheckEquivalence:
             return Verdict("moments", "unbounded", ((1.0, 1.0),), 1.0, 0.0)
 
         monkeypatch.setattr(analysis, "classify_moments", stub)
-        rep = check_equivalence(LEBESGUE, 1.0, 1.0, FAST_CONFIG)
+        rep = check_equivalence(LEBESGUE, 1.0, 1.0, sizes=FAST_SIZES)
         assert rep.boundedness_agree is False
         assert not rep.ok
 
@@ -389,28 +387,28 @@ PANEL_ENTRIES = [
 class TestEvaluatePanel:
     def test_sorted_output(self) -> None:
         shuffled = [PANEL_ENTRIES[2], PANEL_ENTRIES[0], PANEL_ENTRIES[1]]
-        named = evaluate_panel(shuffled, FAST_CONFIG)
+        named = evaluate_panel(shuffled, sizes=FAST_SIZES)
         keys = [(name, rep.alpha, rep.beta) for name, rep in named]
         assert keys == sorted(keys)
 
     def test_deterministic_and_thread_invariant(self, monkeypatch) -> None:
-        serial = reports_to_json(evaluate_panel(PANEL_ENTRIES, FAST_CONFIG))
-        again = reports_to_json(evaluate_panel(PANEL_ENTRIES, FAST_CONFIG))
+        serial = reports_to_json(evaluate_panel(PANEL_ENTRIES, sizes=FAST_SIZES))
+        again = reports_to_json(evaluate_panel(PANEL_ENTRIES, sizes=FAST_SIZES))
         assert serial == again
         monkeypatch.setenv("CESARO_THREADS", "3")
-        threaded = reports_to_json(evaluate_panel(PANEL_ENTRIES, FAST_CONFIG))
+        threaded = reports_to_json(evaluate_panel(PANEL_ENTRIES, sizes=FAST_SIZES))
         assert threaded == serial
 
     def test_bad_thread_env(self, monkeypatch) -> None:
         for bad in ("many", "0"):
             monkeypatch.setenv("CESARO_THREADS", bad)
             with pytest.raises(ValueError, match="CESARO_THREADS"):
-                evaluate_panel(PANEL_ENTRIES[:1], FAST_CONFIG)
+                evaluate_panel(PANEL_ENTRIES[:1], sizes=FAST_SIZES)
 
 
 class TestReportSerialization:
     def test_json_roundtrip_and_nonfinite(self) -> None:
-        named = evaluate_panel(PANEL_ENTRIES[:2], FAST_CONFIG)
+        named = evaluate_panel(PANEL_ENTRIES[:2], sizes=FAST_SIZES)
         doc = json.loads(reports_to_json(named))
         assert doc["all_agree"] is True
         assert len(doc["entries"]) == 2
@@ -421,7 +419,7 @@ class TestReportSerialization:
         assert isinstance(leb_entry["verdicts"]["norm"]["fitted_slope"], float)
 
     def test_csv_shape(self) -> None:
-        named = evaluate_panel(PANEL_ENTRIES[:1], FAST_CONFIG)
+        named = evaluate_panel(PANEL_ENTRIES[:1], sizes=FAST_SIZES)
         lines = reports_to_csv(named).splitlines()
         header = lines[0].split(",")
         assert header[:6] == ["name", "measure", "alpha", "beta", "s", "engine"]
@@ -498,10 +496,10 @@ class TestProp1BoundCheck:
         assert result.suffix_max_ratio <= 1.0
         assert result.suffix_max_ratio == pytest.approx(lhs / bound, rel=1e-2)
 
-    def test_tuple_unpacking(self) -> None:
-        value, bound = prop1_bound_check(1.0, 128)
-        assert isinstance(value, float)
-        assert value <= bound
+    def test_value_and_bound_fields(self) -> None:
+        result = prop1_bound_check(1.0, 128)
+        assert isinstance(result.section_norm_value, float)
+        assert result.section_norm_value <= result.bound
 
     def test_validation(self) -> None:
         with pytest.raises(ValueError):

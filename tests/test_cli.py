@@ -99,8 +99,8 @@ class TestLoadConfig:
         )
         config = load_config(str(path))
         assert config.pairs == ((1.0, 1.0), (1.5, 0.5))
-        assert config.equivalence.sizes == (64, 128, 256)
-        assert config.equivalence.tol == 1e-8
+        assert config.sizes == (64, 128, 256)
+        assert config.tol == 1e-8
         assert config.measures == (
             ("crit", "powlaw(c=1.0, gamma={s-1}, delta=0.0)"),
             ("leb", "lebesgue"),
@@ -112,7 +112,8 @@ class TestLoadConfig:
         config = load_config(str(path))
         assert config.measures == (("leb", "lebesgue"),)
         assert config.pairs == DEFAULT_PAIRS
-        assert config.equivalence == default_config().equivalence
+        assert config.sizes == default_config().sizes
+        assert config.tol == default_config().tol
 
     def test_unknown_section_rejected(self, tmp_path) -> None:
         path = tmp_path / "panel.ini"
@@ -140,28 +141,37 @@ class TestLoadConfig:
             load_config(str(tmp_path / "absent.ini"))
 
 
+def _readme_block(lang: str) -> str:
+    """The README's one fenced code block in lang."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(
+        rf"^```{lang}\n(.*?)^```$", readme.read_text(encoding="utf-8"), re.M | re.S
+    )
+    assert len(blocks) == 1
+    return blocks[0]
+
+
 class TestReadmeConfig:
     """The README's panel config example stays a working config."""
 
-    @staticmethod
-    def _example() -> str:
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        blocks = re.findall(
-            r"^```ini\n(.*?)^```$", readme.read_text(encoding="utf-8"), re.M | re.S
-        )
-        assert len(blocks) == 1
-        return blocks[0]
-
     def test_example_loads_and_builds(self, tmp_path) -> None:
         path = tmp_path / "panel.ini"
-        path.write_text(self._example(), encoding="utf-8")
+        path.write_text(_readme_block("ini"), encoding="utf-8")
         config = load_config(str(path))
         assert len(build_panel(config)) == len(config.measures) * len(config.pairs)
 
     def test_example_sets_every_panel_key(self) -> None:
         parser = configparser.ConfigParser(interpolation=None)
-        parser.read_string(self._example())
+        parser.read_string(_readme_block("ini"))
         assert sorted(parser["panel"]) == sorted(_PANEL_KEYS)
+
+
+class TestReadmeLibrarySketch:
+    """The README's library sketch runs against the current API."""
+
+    def test_sketch_runs(self, capsys) -> None:
+        exec(compile(_readme_block("python"), "README.md", "exec"), {})
+        assert capsys.readouterr().out
 
 
 class TestBuildPanel:
@@ -486,6 +496,13 @@ SMALL_CONFIG = (
     "atom_half = atom(0.5,1.0)\n"
     "lebesgue = lebesgue\n"
 )
+
+
+def test_unknown_command_exit_2(capsys) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 class TestCmdVerify:

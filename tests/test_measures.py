@@ -11,6 +11,7 @@ from scipy import integrate
 from cesarobench.analysis import MOMENT_GRID
 from cesarobench.cli import build_panel, default_config
 from cesarobench.measures import (
+    BY_PARTS_N_MAX,
     Measure,
     MeasureSemanticError,
     MeasureSyntaxError,
@@ -323,6 +324,13 @@ class TestMomentByParts:
         m = parse_measure("atom(0.9,0.25)+powlaw(c=0.5,gamma=-0.9,delta=1)")
         for n in (1, 5, 33, 64):
             assert abs(moment_by_parts(m, n) - moment(m, n)) <= 1e-7
+
+    def test_rejects_n_past_its_accuracy_limit(self):
+        assert BY_PARTS_N_MAX == 2**32
+        got = moment_by_parts(Measure.lebesgue(), 2**32)
+        assert got == pytest.approx(1.0 / (2**32 + 1), rel=1e-7)
+        with pytest.raises(ValueError, match=str(2**32)):
+            moment_by_parts(Measure.lebesgue(), 2**32 + 1)
 
     def test_large_n(self):
         # The docstring promises 1e-7 relative up to n = 2^32.
