@@ -8,12 +8,12 @@ with critical exponent s = 1 + (alpha - beta)/2:
   * moments:  normalized moments mu_n * (n+1)^s on dyadic n,
   * norm:     section norms of the induced operator over dyadic sizes,
 
-each reduced to a tri-state verdict (bounded / vanishing / unbounded) by
-one trend rule: the slope of the log-ratio over the deepest half of its
+each reduced to a verdict (bounded / vanishing / unbounded / inconclusive)
+by one trend rule: the slope of the log-ratio over the deepest half of its
 grid.  Boundedness is the three engines agreeing on bounded-or-vanishing;
 compactness adds a fourth engine that tracks tail-operator norms with the
-same trend rule.  Cross-engine agreement is the property under empirical
-test; a disagreement is a falsification event.
+same trend rule.  Agreement is read from the verdicts; it is the property
+under empirical test, and a disagreement is a falsification event.
 
 Decision constants are frozen from calibration runs documented alongside
 each constant, on the fixed grids beside them.  The only settable budgets,
@@ -30,7 +30,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,7 +135,7 @@ _KIND_BY_ENGINE = {
 
 @dataclass(frozen=True)
 class Verdict:
-    """Tri-state outcome of one engine with its raw evidence.
+    """Outcome of one engine with its raw evidence.
 
     status is bounded / vanishing / unbounded / inconclusive, limited to
     the ones the engine can produce: the norm engine never says vanishing
@@ -208,7 +208,7 @@ def _trend(xs, ratios) -> tuple[float, float]:
 
 
 def _slope_status(xs, ratios, deadband: float) -> tuple[str, float, float]:
-    """Shared tri-state rule: the trend against the deadband, with a
+    """Shared verdict rule: the trend against the deadband, with a
     boundary band of one standard error declared inconclusive.  A vanished
     ratio (slope -inf) is vanishing."""
     slope, stderr = _trend(xs, ratios)
@@ -282,27 +282,20 @@ def classify_compactness(
     m: Measure,
     alpha: float,
     beta: float,
-    boundedness: Verdict,
     tol: float = TOL,
 ) -> Verdict:
     """Tail-operator engine: norms of the rows-above-M remainder on the
     size-COMPACT_SIZE section, for M in COMPACT_TRUNCATIONS.
 
-    Compactness presumes boundedness, so the norm engine's verdict is
-    passed in as `boundedness` and anything not bounded is rejected.  The
-    verdict needs both signals from the calibration note on the
-    thresholds: decaying tail-norm slope and a small final tail/full level
-    for compact; shallow slope and a high level for not compact; mixed or
-    boundary-grazing signals are inconclusive.  Tails of any size are
-    fitted; only exactly zero ones, from underflowed moments, skip the fit.
+    Compactness presumes boundedness, which check_equivalence's gate
+    ensures; this engine does not check it.  The verdict needs both
+    signals from the calibration note on the thresholds: decaying tail-norm
+    slope and a small final tail/full level for compact; shallow slope and
+    a high level for not compact; mixed or boundary-grazing signals are
+    inconclusive.  Tails of any size are fitted; only exactly zero ones,
+    from underflowed moments, skip the fit.
     """
     carleson_exponent(alpha, beta)
-    if boundedness.status != "bounded":
-        raise ValueError(
-            "compactness requires a bounded operator; norm engine said "
-            f"{boundedness.status}"
-        )
-
     op = SectionOp(m, SpaceIndex(alpha), SpaceIndex(beta), COMPACT_SIZE)
     full = section_norm(op, tol=tol).value
     tails = [
@@ -328,13 +321,14 @@ def classify_compactness(
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Per-entry outcome: every engine's verdict plus agreement flags.
+    """Per-entry outcome: the verdict of every engine that ran, in run
+    order; compactness runs only where the other three voted bounded.
 
-    boundedness_agree compares bounded-or-not across the carleson, moment, and
-    norm engines; compactness_agree compares vanishing-or-not across the
-    carleson, moment, and compactness engines and is None when the entry
-    is not bounded (compactness is then undefined).  Inconclusive engines
-    are excluded from agreement and recorded in warnings.
+    The rest is read from the verdicts; inconclusive ones take no part in
+    agreement and are named in warnings.  boundedness_agree: the
+    conclusive verdicts agree on bounded-or-not.  compactness_agree: None
+    without a compactness verdict, else whether the conclusive verdicts
+    other than the norm engine's agree on vanishing-or-not.
     """
 
     measure: str
@@ -342,9 +336,28 @@ class EquivalenceReport:
     beta: float
     s: float
     verdicts: dict
-    boundedness_agree: bool
-    compactness_agree: bool | None
-    warnings: tuple[str, ...] = field(default_factory=tuple)
+
+    def _conclusive(self, skip: str = "") -> list[Verdict]:
+        items = self.verdicts.items()
+        return [v for k, v in items if k != skip and v.status != "inconclusive"]
+
+    @property
+    def boundedness_agree(self) -> bool:
+        return len({v.indicates_bounded for v in self._conclusive()}) <= 1
+
+    @property
+    def compactness_agree(self) -> bool | None:
+        if "compactness" not in self.verdicts:
+            return None
+        return len({v.indicates_vanishing for v in self._conclusive("norm")}) <= 1
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return tuple(
+            f"{name} engine inconclusive"
+            for name, v in self.verdicts.items()
+            if v.status == "inconclusive"
+        )
 
     @property
     def ok(self) -> bool:
@@ -358,47 +371,19 @@ def check_equivalence(
     sizes=NORM_SIZES,
     tol: float = TOL,
 ) -> EquivalenceReport:
-    """Run every engine on one (measure, pair) entry and compare verdicts."""
+    """Run the boundedness engines on one (measure, pair) entry, and the
+    compactness engine where they agree and the norm engine says bounded."""
     s = carleson_exponent(alpha, beta)
     verdicts = {
         "carleson": classify_carleson(m, s),
         "moments": classify_moments(m, s),
         "norm": classify_boundedness(m, alpha, beta, sizes, tol),
     }
-    warnings = [
-        f"{name} engine inconclusive"
-        for name, v in verdicts.items()
-        if v.status == "inconclusive"
-    ]
-    conclusive = [v for v in verdicts.values() if v.status != "inconclusive"]
-    bounded_votes = {v.indicates_bounded for v in conclusive}
-    boundedness_agree = len(bounded_votes) <= 1
-
-    compactness_agree: bool | None = None
-    if boundedness_agree and bounded_votes == {True}:
-        norm_v = verdicts["norm"]
-        if norm_v.status == "bounded":
-            verdicts["compactness"] = classify_compactness(
-                m, alpha, beta, norm_v, tol
-            )
-            if verdicts["compactness"].status == "inconclusive":
-                warnings.append("compactness engine inconclusive")
-            vanish_votes = {
-                v.indicates_vanishing
-                for key, v in verdicts.items()
-                if key != "norm" and v.status != "inconclusive"
-            }
-            compactness_agree = len(vanish_votes) <= 1
-    return EquivalenceReport(
-        measure=format_measure(m),
-        alpha=alpha,
-        beta=beta,
-        s=s,
-        verdicts=verdicts,
-        boundedness_agree=boundedness_agree,
-        compactness_agree=compactness_agree,
-        warnings=tuple(warnings),
-    )
+    report = EquivalenceReport(format_measure(m), alpha, beta, s, verdicts)
+    if not (report.boundedness_agree and verdicts["norm"].status == "bounded"):
+        return report
+    compactness = classify_compactness(m, alpha, beta, tol)
+    return replace(report, verdicts={**verdicts, "compactness": compactness})
 
 
 def _max_workers() -> int:

@@ -11,9 +11,10 @@ lower-triangular matrix
 The norm comes from power iteration on A^T A with both matrix-vector
 products applied matrix-free through prefix sums, so no N x N array is
 ever formed, and each call iterates in three arrays of length N allocated
-once.  It runs on the row weights divided by the power of two that brings
-their maximum into [1, 2); that is exact, and keeps tails near 1e-154 from
-underflowing and masses near 1e300 from overflowing.  Iteration stops at
+once.  It runs on weights divided by powers of two that bring the largest
+column weight and the largest matrix entry into [1, 2); that is exact, and
+keeps tails near 1e-154 from underflowing and masses near 1e300 or the
+column weights of a large alpha from overflowing.  Iteration stops at
 the requested tolerance (TOL by default) or after MAX_ITER steps.  A norm
 profile starts each size from the previous size's final iterate, since
 nested sections have nearly the same top singular vector.
@@ -145,10 +146,10 @@ def tail_section(op: SectionOp, m: int) -> SectionOp:
 
 def _conjugation_weights(op: SectionOp) -> tuple[np.ndarray, np.ndarray]:
     """Column weights (k+1)^(-(1-alpha)/2) and row weights, zero below
-    op.first_row; a row weight past the double range is inf."""
+    op.first_row; a weight past the double range is inf."""
     idx = np.arange(1, op.size + 1, dtype=float)
-    w_in = idx ** (-(1.0 - op.alpha.alpha) / 2.0)
     with np.errstate(over="ignore"):
+        w_in = idx ** (-(1.0 - op.alpha.alpha) / 2.0)
         w_out = idx ** ((1.0 - op.beta.alpha) / 2.0) * op.moments
     w_out[: op.first_row] = 0.0
     return w_in, w_out
@@ -198,13 +199,17 @@ def section_norm(op: SectionOp, tol: float = TOL, start=(1.0,)) -> OpNormEstimat
     peak = float(np.max(w_out))
     if peak == 0.0:
         return OpNormEstimate(0.0, 0, 0.0, v)
-    # w_in[0] = 1, so the norm is at least the largest row weight.
-    if not math.isfinite(peak):
-        raise ValueError(f"size-{op.size} section norm exceeds the double range")
-    # unit = 2^scale scales back as ldexp would, but overflows to inf.
-    scale = math.frexp(peak)[1] - 1
-    np.ldexp(w_out, -scale, out=w_out)
-    unit = math.ldexp(1.0, scale)
+    too_big = f"size-{op.size} section norm exceeds the double range"
+    # The column weights are divided by the power of two that brings their
+    # maximum into [1, 2), then the row weights by the one that does so for
+    # the largest entry, which the norm is at least; the column weights are
+    # monotone, so it lies in column 0 or on the diagonal.  Estimates scale
+    # back by 2^scale in one ldexp, which raises only if the norm overflows.
+    in_peak = float(np.max(w_in))
+    if not math.isfinite(in_peak):
+        raise ValueError(too_big)
+    in_scale = math.frexp(in_peak)[1] - 1
+    np.ldexp(w_in, -in_scale, out=w_in)
     # av, then (A^T A v) unnormalized, are built in place in a and b, in
     # the same operation order as the plain expressions
     #     av = w_out * np.cumsum(w_in * v)
@@ -212,6 +217,14 @@ def section_norm(op: SectionOp, tol: float = TOL, start=(1.0,)) -> OpNormEstimat
     # so the buffers change no bit of the result.
     a = np.empty(op.size)
     b = np.empty(op.size)
+    with np.errstate(over="ignore"):
+        np.multiply(w_out, w_in, out=a)
+    peak = max(peak * float(w_in[0]), float(np.max(a)))
+    if not math.isfinite(peak):
+        raise ValueError(too_big)
+    out_scale = math.frexp(peak)[1] - 1
+    np.ldexp(w_out, -out_scale, out=w_out)
+    scale = out_scale + in_scale
     b_rev = b[::-1]
     sigma_prev = None
     sigma = 0.0
@@ -223,9 +236,10 @@ def section_norm(op: SectionOp, tol: float = TOL, start=(1.0,)) -> OpNormEstimat
         # np.sum, unlike the BLAS dot behind np.dot and np.linalg.norm,
         # adds in an order that does not depend on the BLAS thread count.
         np.multiply(a, a, out=b)
-        sigma = math.sqrt(float(np.sum(b))) * unit
-        if not math.isfinite(sigma):
-            raise ValueError(f"size-{op.size} section norm exceeds the double range")
+        try:
+            sigma = math.ldexp(math.sqrt(float(np.sum(b))), scale)
+        except OverflowError:
+            raise ValueError(too_big) from None
         if sigma_prev is not None:
             residual = abs(sigma - sigma_prev)
             if residual < tol:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from cesarobench.analysis import (
     COMPACT_SIZE,
     COMPACT_SLOPE_THRESHOLD,
     NORM_DEADBAND,
+    EquivalenceReport,
     Verdict,
     carleson_exponent,
     check_equivalence,
@@ -47,7 +49,6 @@ OVERFLOWING = parse_measure("powlaw(c=1e307, gamma=0.0, delta=0.0)")
 # Reduced sizes keep unit tests fast; verdicts at these sizes were
 # verified to match the full-budget ones for the measures used here.
 FAST_SIZES = tuple(1 << k for k in range(6, 13))
-BOUNDED_OK = Verdict("norm", "bounded", ((1.0, 1.0),), 0.0, 0.0)
 
 
 class TestCarlesonExponent:
@@ -251,17 +252,10 @@ class TestClassifyBoundedness:
 
 
 class TestClassifyCompactness:
-    def test_requires_bounded(self) -> None:
-        with pytest.raises(ValueError, match="bounded"):
-            classify_compactness(
-                LEBESGUE, 1.5, 0.5,
-                Verdict("norm", "unbounded", ((1.0, 1.0),), 0.5, 0.0),
-            )
-
     def test_atom_tails_decay(self) -> None:
         # The tails fall from about 1e-5 at M = 16 to about 1e-153 at
         # M = 512 without underflowing, so the verdict rests on a real fit.
-        v = classify_compactness(ATOM_HALF, 1.0, 1.0, BOUNDED_OK)
+        v = classify_compactness(ATOM_HALF, 1.0, 1.0)
         assert v.status == "vanishing"
         assert v.kind == "compact"
         assert math.isfinite(v.fitted_slope)
@@ -273,11 +267,11 @@ class TestClassifyCompactness:
         # however small its weight; its tails dwarf the atom's, and no
         # tail-to-full level may stand in for the fit.
         m = parse_measure("atom(0.5,1.0) + powlaw(c=1e-8, gamma=0.0, delta=0.0)")
-        v = classify_compactness(m, 1.0, 1.0, BOUNDED_OK)
+        v = classify_compactness(m, 1.0, 1.0)
         assert v.status != "vanishing"
 
     def test_critical_not_compact(self) -> None:
-        v = classify_compactness(LEBESGUE, 1.0, 1.0, BOUNDED_OK)
+        v = classify_compactness(LEBESGUE, 1.0, 1.0)
         assert v.status == "bounded"
         assert v.kind == "not_compact"
         assert v.fitted_slope > COMPACT_SLOPE_THRESHOLD
@@ -287,7 +281,7 @@ class TestClassifyCompactness:
         assert v.evidence[-1][1] > 0.5 * full
 
     def test_vanishing_type_compact(self) -> None:
-        v = classify_compactness(LEBESGUE, 0.5, 1.5, BOUNDED_OK)
+        v = classify_compactness(LEBESGUE, 0.5, 1.5)
         assert v.status == "vanishing"
         assert v.kind == "compact"
         assert v.fitted_slope < COMPACT_SLOPE_THRESHOLD
@@ -320,7 +314,7 @@ class TestVerdict:
 
     def test_status_the_engine_cannot_produce(self) -> None:
         # classify_boundedness folds vanishing into bounded, and
-        # classify_compactness rejects unbounded input.
+        # classify_compactness only tells compact from not compact.
         with pytest.raises(ValueError, match="norm engine"):
             Verdict("norm", "vanishing", ((1.0, 1.0),), -1.0, 0.0)
         with pytest.raises(ValueError, match="compactness engine"):
@@ -374,7 +368,40 @@ class TestCheckEquivalence:
         monkeypatch.setattr(analysis, "classify_moments", stub)
         rep = check_equivalence(LEBESGUE, 1.0, 1.0, sizes=FAST_SIZES)
         assert rep.boundedness_agree is False
+        assert "compactness" not in rep.verdicts
         assert not rep.ok
+
+    def test_flags_are_read_from_the_verdicts(self) -> None:
+        ev = ((1.0, 1.0),)
+        verdicts = {
+            "carleson": Verdict("carleson", "vanishing", ev, -1.0, 0.0),
+            "moments": Verdict("moments", "inconclusive", ev, 0.0, 1.0),
+            "norm": Verdict("norm", "bounded", ev, 0.0, 0.0),
+            "compactness": Verdict("compactness", "bounded", ev, 0.0, 0.0),
+        }
+        rep = EquivalenceReport("lebesgue", 1.0, 1.0, 1.0, verdicts)
+        assert [f.name for f in fields(rep)] == [
+            "measure", "alpha", "beta", "s", "verdicts"
+        ]
+        assert rep.boundedness_agree is True
+        assert rep.compactness_agree is False
+        assert rep.warnings == ("moments engine inconclusive",)
+        assert not rep.ok
+
+    def test_inconclusive_norm_skips_compactness(self, monkeypatch) -> None:
+        # The gate in check_equivalence is all that keeps the compactness
+        # engine off entries the norm engine does not call bounded.
+        import cesarobench.analysis as analysis
+
+        def stub(m, alpha, beta, sizes, tol):
+            return Verdict("norm", "inconclusive", ((1.0, 1.0),), 0.0, 1.0)
+
+        monkeypatch.setattr(analysis, "classify_boundedness", stub)
+        rep = check_equivalence(LEBESGUE, 1.0, 1.0, sizes=FAST_SIZES)
+        assert "compactness" not in rep.verdicts
+        assert rep.compactness_agree is None
+        assert rep.warnings == ("norm engine inconclusive",)
+        assert rep.ok
 
 
 PANEL_ENTRIES = [

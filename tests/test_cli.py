@@ -439,10 +439,12 @@ class TestCmdNormGrowth:
 
     def test_overflowing_norm_exit_2(self, capsys) -> None:
         # The second measure's total mass fits, but its row weight
-        # (n+1)^0.45 mu_n does not.
+        # (n+1)^0.45 mu_n does not; at alpha = 1000 the column weight
+        # (k+1)^499.5 leaves the double range by k = 7.
         for measure, alpha, beta, sizes in [
             (OVERFLOWING_MEASURE, "1.5", "0.5", "64,1024"),
             ("atom(0.99999,1.7e308)", "1", "0.1", "16,32"),
+            ("lebesgue", "1000", "1", "4,8"),
         ]:
             argv = ["norm-growth", "--measure", measure,
                     "--alpha", alpha, "--beta", beta, "--sizes", sizes]

@@ -1,7 +1,8 @@
 """Static scan of the package and its tests: no unused imports, no
-__all__ entry that the module does not define, and no private top-level
-name that nothing in the package reads.  The package root re-exports
-every module's __all__."""
+__all__ entry that the module does not define, no private top-level
+name that nothing in the package reads, and no package function that
+ignores one of its parameters.  The package root re-exports every
+module's __all__."""
 
 from __future__ import annotations
 
@@ -88,6 +89,34 @@ def test_no_unread_module_names() -> None:
     assert not unread, "defined but never read in the package:\n" + "\n".join(
         unread
     )
+
+
+def test_every_parameter_is_read() -> None:
+    # A parameter the body never reads is a silent no-op for its callers.
+    unread = []
+    for path in PACKAGE:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, body = node.name, node.body
+            elif isinstance(node, ast.Lambda):
+                name, body = "<lambda>", [node.body]
+            else:
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.name}:{node.lineno}: {name}({a.arg})"
+                for a in params
+                if a.arg not in read and a.arg not in ("self", "cls")
+            ]
+    assert not unread, "parameters never read:\n" + "\n".join(unread)
 
 
 def test_no_unused_imports() -> None:

@@ -247,6 +247,25 @@ class TestSectionNorm:
                 want = dense_norm(op)
                 assert pw.value == pytest.approx(want, rel=1e-8), (name, a, b, n)
 
+    def test_large_alpha_column_weights_stay_in_range(self, dense_norm):
+        # Column weights (k+1)^((alpha-1)/2) up to about 1e134, whose
+        # squares overflow unless they too are iterated in the frame.  In
+        # the atom's section the largest column weight, 4^499.5, meets a
+        # row weight of 1e-300, and the largest entry, about 1e50, lies in
+        # row 1: scaled by their own maxima alone, the squares underflow.
+        for expr, a, n in (
+            ("lebesgue", 300.0, 4),
+            ("lebesgue", 300.0, 8),
+            ("lebesgue", 150.0, 64),
+            ("atom(1e-100,1.0)", 1000.0, 4),
+        ):
+            op = SectionOp(parse_measure(expr), SpaceIndex(a), S1, n)
+            want = pytest.approx(dense_norm(op), rel=1e-8, abs=0.0)
+            assert section_norm(op).value == want, (expr, a, n)
+        # At alpha = 1000 the size-8 column weights pass the double range.
+        with pytest.raises(ValueError, match="double range"):
+            section_norm(SectionOp(LEB, SpaceIndex(1000.0), S1, 8))
+
     def test_power_matches_svd_at_2048(self, dense_norm):
         op = SectionOp(LEB, S1, S1, 2048)
         pw = section_norm(op, tol=1e-9)
