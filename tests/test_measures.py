@@ -216,11 +216,29 @@ class TestTail:
             )
             assert got == pytest.approx(want, abs=max(1e-11, 2 * err))
 
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 3.0])
+    def test_powlaw_delta_relative_accuracy(self, delta):
+        # Relative, not absolute, so that the tiny tails near t = 1 count.
+        ts = [0.0, 1e-8, 0.3, 0.5, 0.9, 0.999, 1 - 2.0**-30, 1 - 2.0**-52]
+        c = 2.0
+        for gamma in (-0.9, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.5):
+            got = tail_values(Measure.powlaw(c, gamma, delta), ts)
+            with mpmath.workdps(50):
+                a, b = mpmath.mpf(gamma) + 1, mpmath.mpf(delta) + 1
+                for t, value in zip(ts, got):
+                    exact = c * mpmath.beta(b, a) * mpmath.betainc(
+                        a, b, 0, 1 - mpmath.mpf(t), regularized=True
+                    )
+                    rel = float(abs((mpmath.mpf(value) - exact) / exact))
+                    assert rel <= 1e-14, (gamma, delta, t, rel)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             tail_values(Measure.lebesgue(), [0.5, 1.0])
         with pytest.raises(ValueError):
             tail_values(Measure.lebesgue(), [-0.1])
+        with pytest.raises(ValueError):
+            tail_values(Measure.lebesgue(), [0.5, math.nan])
 
 
 class TestMoment:
