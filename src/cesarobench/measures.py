@@ -239,6 +239,12 @@ def format_measure(m: Measure) -> str:
 # Tails
 # ---------------------------------------------------------------------------
 
+# Largest integer delta summed as a finite series in tail_values.  On
+# 2,208 points (2 vCPUs) the series took 26-46 us at delta = 1 and 361-462
+# us at 64, against 700-1000 us for betainc; its worst error against mpmath
+# was 8.0e-16 up to 64, and 1.2e-15 at 96 as the roundings add up.
+_SERIES_DELTA_MAX = 64
+
 
 def tail_values(m: Measure, ts) -> np.ndarray:
     """mu([t,1)) for an array of thresholds t in [0,1); vectorized."""
@@ -250,22 +256,29 @@ def tail_values(m: Measure, ts) -> np.ndarray:
     for t0, mass in m.atoms:
         out += np.where(t0 >= ts, mass, 0.0)
     for c, gamma, delta in m.densities:
-        if delta == 0.0:
-            out += c * (1.0 - ts) ** (gamma + 1.0) / (gamma + 1.0)
+        a = gamma + 1.0
+        if float(delta).is_integer() and delta <= _SERIES_DELTA_MAX:
+            # For integer delta = d, DLMF 8.17(iv) gives int_t^1 (1-u)^gamma
+            # u^d du = ((1-t)^a / a) sum_{j<=d} e_j t^j, e_d = a/(a+d) and
+            # e_j = e_{j+1} (j+1)/(a+j): positive terms, so nothing cancels.
+            # Each e_j is one rounding of an exact integer quotient (a = p/q);
+            # at d = 0 the sum is 1.0 and the closed form keeps its bits.
+            p, q = a.as_integer_ratio()
+            num, den = p, p + int(delta) * q
+            poly = num / den
+            for j in range(int(delta) - 1, -1, -1):
+                num *= (j + 1) * q
+                den *= p + j * q
+                poly = poly * ts + num / den
+            out += c * (1.0 - ts) ** a / a * poly
         else:
-            # int_t^1 (1-u)^gamma u^delta du = B(delta+1, gamma+1) times
-            # I_{1-t}(gamma+1, delta+1), the mirrored form of the
-            # complement 1 - I_t(delta+1, gamma+1) (DLMF 8.17.4).  It is
-            # taken for speed: on 200,000 points with delta = 1 (2 vCPUs),
-            # scipy's betainc at 1 - t took 52-72 ms against 414-568 ms
-            # for betaincc at t.  Forming 1 - t loses nothing where it
-            # matters: it is exact for t >= 1/2 (Sterbenz's lemma), which
-            # covers every CARLESON_GRID point, and below 1/2 the tail is
-            # not small.  Against mpmath at 50 digits, over 35 gammas in
-            # [-0.9, 2.5], delta in {0.5, 1, 3} and t up to 1 - 2^-52, the
-            # worst relative error was 5.2e-15, at t = 1 - 2^-52.
-            full = math.exp(_sp.betaln(delta + 1.0, gamma + 1.0))
-            out += c * full * _sp.betainc(gamma + 1.0, delta + 1.0, 1.0 - ts)
+            # B(delta+1, a) I_{1-t}(a, delta+1), the mirrored complement of
+            # I_t(delta+1, a) (DLMF 8.17.4), about 8x faster than betaincc;
+            # 1 - t is exact for t >= 1/2.  Against mpmath at 50 digits over
+            # gamma in [-0.9, 2.5], delta in {0.5, 1, 3} and t up to
+            # 1 - 2^-52, the worst relative error was 5.2e-15.
+            full = math.exp(_sp.betaln(delta + 1.0, a))
+            out += c * full * _sp.betainc(a, delta + 1.0, 1.0 - ts)
     return out
 
 

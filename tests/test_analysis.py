@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import fields
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -487,6 +488,23 @@ class TestEstRatioCheck:
             est_ratio_check(1.0, [1.0], 1000)
         with pytest.raises(ValueError, match="too small"):
             est_ratio_check(1.0, [0.999], 1000)
+        for c in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                est_ratio_check(c, [0.5], 1000)
+
+    @pytest.mark.parametrize("c", [0.5, 1.5, 3.5])
+    def test_against_mpmath(self, c: float) -> None:
+        # The reference is the full series (1-t^2)^c Li_{1-c}(t^2); past
+        # n_max = 60000 its tail is below t^120000 < 1e-52 of the sum.
+        ts = [0.5, 0.9, 0.99, 0.999]
+        lo, hi = est_ratio_check(c, ts, 60000)
+        with mpmath.workdps(30):
+            exact = []
+            for t in ts:
+                z = mpmath.mpf(t) ** 2
+                exact.append((1 - z) ** c * mpmath.polylog(1 - c, z))
+        for got, want in ((lo, min(exact)), (hi, max(exact))):
+            assert float(abs((mpmath.mpf(got) - want) / want)) <= 1e-12, (c, got)
 
 
 class TestProp1BoundCheck:

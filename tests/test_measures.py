@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from cesarobench import measures
 from cesarobench.analysis import MOMENT_GRID
 from cesarobench.cli import build_panel, default_config
 from cesarobench.measures import (
@@ -216,21 +217,62 @@ class TestTail:
             )
             assert got == pytest.approx(want, abs=max(1e-11, 2 * err))
 
-    @pytest.mark.parametrize("delta", [0.5, 1.0, 3.0])
-    def test_powlaw_delta_relative_accuracy(self, delta):
+    # Exponent and threshold grids of the relative-accuracy tests.
+    GAMMAS = (-0.9, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.5)
+    TS = (0.0, 1e-8, 0.3, 0.5, 0.9, 0.999, 1 - 2.0**-30, 1 - 2.0**-52)
+
+    def _assert_relative_accuracy(self, delta, tol):
         # Relative, not absolute, so that the tiny tails near t = 1 count.
-        ts = [0.0, 1e-8, 0.3, 0.5, 0.9, 0.999, 1 - 2.0**-30, 1 - 2.0**-52]
         c = 2.0
-        for gamma in (-0.9, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.5):
-            got = tail_values(Measure.powlaw(c, gamma, delta), ts)
+        for gamma in self.GAMMAS:
+            got = tail_values(Measure.powlaw(c, gamma, delta), self.TS)
             with mpmath.workdps(50):
                 a, b = mpmath.mpf(gamma) + 1, mpmath.mpf(delta) + 1
-                for t, value in zip(ts, got):
+                for t, value in zip(self.TS, got):
                     exact = c * mpmath.beta(b, a) * mpmath.betainc(
                         a, b, 0, 1 - mpmath.mpf(t), regularized=True
                     )
                     rel = float(abs((mpmath.mpf(value) - exact) / exact))
-                    assert rel <= 1e-14, (gamma, delta, t, rel)
+                    assert rel <= tol, (gamma, delta, t, rel)
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 3.0])
+    def test_powlaw_delta_relative_accuracy(self, delta):
+        self._assert_relative_accuracy(delta, 1e-14)
+
+    # One delta is a Python int: Measure keeps its fields as given.
+    @pytest.mark.parametrize(
+        "delta", [1, 2.0, 3.0, 8.0, float(measures._SERIES_DELTA_MAX)]
+    )
+    def test_integer_delta_series_accuracy(self, delta):
+        self._assert_relative_accuracy(delta, 1e-15)
+
+    def test_delta_zero_closed_form_bits(self):
+        ts = np.array(self.TS)
+        for gamma in self.GAMMAS:
+            for delta in (0.0, 0):
+                got = tail_values(Measure.powlaw(2.0, gamma, delta), ts)
+                want = 2.0 * (1.0 - ts) ** (gamma + 1.0) / (gamma + 1.0)
+                assert np.array_equal(got, want), (gamma, delta)
+
+    def test_series_routing(self, monkeypatch):
+        cap = measures._SERIES_DELTA_MAX
+        m3 = Measure.powlaw(2.0, 0.25, 3.0)
+        series = tail_values(m3, self.TS)
+
+        def refuse(*args):
+            raise LookupError("betainc called")
+
+        monkeypatch.setattr(measures._sp, "betainc", refuse)
+        for d in range(cap + 1):
+            tail_values(Measure.powlaw(2.0, 0.25, float(d)), self.TS)
+        for delta in (0.5, cap + 1.0):
+            with pytest.raises(LookupError):
+                tail_values(Measure.powlaw(2.0, 0.25, delta), self.TS)
+        monkeypatch.undo()
+        # With the cap lowered, delta = 3 takes the betainc route.
+        monkeypatch.setattr(measures, "_SERIES_DELTA_MAX", 2)
+        mirrored = tail_values(m3, self.TS)
+        assert mirrored == pytest.approx(series, rel=1e-14, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
