@@ -262,7 +262,6 @@ def classify_boundedness(
     the band reads as a critical transient.  That half must hold two
     sizes, so fewer than 3 raise ValueError.
     """
-    carleson_exponent(alpha, beta)
     if len(sizes) < 3:
         raise ValueError(f"sizes needs at least 3 section sizes, got {len(sizes)}")
     profile = norm_growth_profile(
@@ -295,7 +294,6 @@ def classify_compactness(
     inconclusive.  Tails of any size are fitted; only exactly zero ones,
     from underflowed moments, skip the fit.
     """
-    carleson_exponent(alpha, beta)
     op = SectionOp(m, SpaceIndex(alpha), SpaceIndex(beta), COMPACT_SIZE)
     full = section_norm(op, tol=tol).value
     tails = [
@@ -563,7 +561,6 @@ def prop1_bound_check(alpha: float, n: int = 4096) -> Prop1Bound:
     """Norm of the size-n classical section at (alpha, alpha), at
     section_norm's default tolerance, plus the pointwise inequality sweep
     over all indices up to n."""
-    require_index(alpha, "alpha")
     if n < 1:
         raise ValueError("n must be positive")
     op = SectionOp(Measure.lebesgue(), SpaceIndex(alpha), SpaceIndex(alpha), n)

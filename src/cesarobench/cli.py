@@ -82,8 +82,9 @@ DEFAULT_MEASURES = (
 class PanelConfig:
     """Named measure templates, space pairs, and the engines' budgets.
 
-    Only emptiness is checked here: the pair range by carleson_exponent in
-    build_panel, sizes by the norm engine and tol by section_norm.
+    Only emptiness and repeats are checked here: the pair range by
+    carleson_exponent in build_panel, sizes by the norm engine and tol by
+    section_norm.
     """
 
     measures: tuple[tuple[str, str], ...] = DEFAULT_MEASURES
@@ -96,6 +97,11 @@ class PanelConfig:
             raise ConfigError("no measures configured")
         if not self.pairs:
             raise ConfigError("no space pairs configured")
+        names = [name for name, _ in self.measures]
+        for what, items in (("measure names", names), ("space pairs", self.pairs)):
+            repeated = [x for i, x in enumerate(items) if x in items[:i]]
+            if repeated:
+                raise ConfigError(f"duplicate {what}: {repeated}")
 
 
 def default_config() -> PanelConfig:
@@ -106,7 +112,8 @@ _PANEL_KEYS = ("pairs", "sizes", "tol")
 
 
 def load_config(path: str) -> PanelConfig:
-    """Read a panel config: INI text with [panel] and [measures] sections.
+    """Read a panel config: INI text with [panel] and [measures] sections,
+    and no others, [DEFAULT] included.
 
     [panel] keys (all optional, no others): pairs as semicolon-separated
     alpha,beta; sizes as comma-separated integers; tol a scalar.  sizes
@@ -127,6 +134,8 @@ def load_config(path: str) -> PanelConfig:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
     unknown = set(parser.sections()) - {"panel", "measures"}
+    if parser.defaults():
+        unknown.add(parser.default_section)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 

@@ -11,13 +11,13 @@ lower-triangular matrix
 The norm comes from power iteration on A^T A with both matrix-vector
 products applied matrix-free through prefix sums, so no N x N array is
 ever formed, and each call iterates in three arrays of length N allocated
-once.  It runs on weights divided by powers of two that bring the largest
-column weight and the largest matrix entry into [1, 2); that is exact, and
-keeps tails near 1e-154 from underflowing and masses near 1e300 or the
-column weights of a large alpha from overflowing.  Iteration stops at
+once.  It runs on the row weights divided by the power of two that brings
+their maximum into [1, 2); that is exact, and keeps tails near 1e-154 from
+underflowing and masses near 1e300 from overflowing.  Iteration stops at
 the requested tolerance (TOL by default) or after MAX_ITER steps.  A norm
-profile starts each size from the previous size's final iterate, since
-nested sections have nearly the same top singular vector.
+profile reads prefixes of its largest section's moments and weights, and
+starts each size from the previous size's final iterate, since nested
+sections have nearly the same top singular vector.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import ClassVar
 import numpy as np
 
 from .measures import Measure, moment_sequence
-from .spaces import CoeffVec, SpaceIndex
+from .spaces import CoeffVec, SpaceIndex, require_index
 
 __all__ = [
     "SectionOp",
@@ -55,13 +55,15 @@ class SectionOp:
 
     A full section has first_row == 0; the tail operator that remains
     after truncating at row m starts at row m + 1 (see tail_section).
+    alpha and beta must lie in (0, 2), the range of the characterizations.
 
-    `moments` holds mu_0, ..., mu_{size-1}.  Left out, it is computed as
-    moment_sequence(measure, size).  A caller that already holds
-    moment_sequence(measure, N) for some N >= size may pass that array
-    instead; the section keeps a read-only view of its first `size`
-    entries, so nested sections and the tail sections made through
-    dataclasses.replace share one array and never recompute it.
+    `moments` holds mu_0, ..., mu_{size-1} and `weights` the pair
+    (w_in, w_row) of column weights (k+1)^(-(1-alpha)/2) and row weights
+    (n+1)^((1-beta)/2) mu_n, inf past the double range; each left out is
+    computed here.  A caller holding either at some N >= size may pass it;
+    the section keeps read-only views of the first `size` entries, so
+    nested sections and the tail sections made through dataclasses.replace
+    share one set of arrays.
     """
 
     measure: Measure
@@ -70,26 +72,41 @@ class SectionOp:
     size: int
     first_row: int = 0
     moments: np.ndarray | None = field(default=None, repr=False, compare=False)
+    weights: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        require_index(self.alpha.alpha, "alpha")
+        require_index(self.beta.alpha, "beta")
         if self.size < 1:
             raise ValueError("section size must be positive")
         if not 0 <= self.first_row <= self.size:
             raise ValueError(
                 f"first row {self.first_row} out of range [0, {self.size}]"
             )
-        if self.moments is None:
+        moments = self.moments
+        if moments is None:
             moments = moment_sequence(self.measure, self.size)
+        moments = _prefix(moments, self.size, "moments")
+        if self.weights is None:
+            idx = np.arange(1, self.size + 1, dtype=float)
+            w_in = idx ** (-(1.0 - self.alpha.alpha) / 2.0)
+            with np.errstate(over="ignore"):
+                w_row = idx ** ((1.0 - self.beta.alpha) / 2.0) * moments
         else:
-            moments = np.asarray(self.moments, dtype=float)
-            if moments.ndim != 1 or moments.size < self.size:
-                raise ValueError(
-                    f"moments must be a 1-d array of at least {self.size} "
-                    f"entries, got shape {moments.shape}"
-                )
-            moments = moments[: self.size]
-        moments.setflags(write=False)
+            w_in, w_row = self.weights
+        weights = (_prefix(w_in, self.size, "w_in"), _prefix(w_row, self.size, "w_row"))
         object.__setattr__(self, "moments", moments)
+        object.__setattr__(self, "weights", weights)
+
+
+def _prefix(values, size: int, name: str) -> np.ndarray:
+    """Read-only view of the first size entries of a 1-d float array."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size < size:
+        raise ValueError(f"{name} must be 1-d with at least {size} entries")
+    view = values[:size]
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True)
@@ -144,17 +161,6 @@ def tail_section(op: SectionOp, m: int) -> SectionOp:
     return replace(op, first_row=max(op.first_row, m + 1))
 
 
-def _conjugation_weights(op: SectionOp) -> tuple[np.ndarray, np.ndarray]:
-    """Column weights (k+1)^(-(1-alpha)/2) and row weights, zero below
-    op.first_row; a weight past the double range is inf."""
-    idx = np.arange(1, op.size + 1, dtype=float)
-    with np.errstate(over="ignore"):
-        w_in = idx ** (-(1.0 - op.alpha.alpha) / 2.0)
-        w_out = idx ** ((1.0 - op.beta.alpha) / 2.0) * op.moments
-    w_out[: op.first_row] = 0.0
-    return w_in, w_out
-
-
 def _start_vector(start, size: int) -> np.ndarray:
     """Unit copy of start, extended to size by repeating its last entry."""
     start = np.asarray(start, dtype=float)
@@ -177,17 +183,19 @@ def section_norm(op: SectionOp, tol: float = TOL, start=(1.0,)) -> OpNormEstimat
     """Largest singular value of the conjugated section matrix.
 
     Power iteration on A^T A starts from `start`, by default the all-ones
-    vector, and stops when successive Rayleigh estimates differ by
-    less than tol in the caller's units, each scaled back exactly from the
-    power-of-two frame.  A start shorter than the section is extended by
-    repeating its last entry, then normalized; it must be nonnegative with
-    a positive first entry, which keeps its overlap with the top singular
-    vector positive.  Every entry of A is nonnegative, so A^T A is
-    entrywise positive on the columns up to the last nonzero row and zero
-    beyond them; by Perron-Frobenius the top right singular vector is
-    positive on those columns, the first among them.  The final iterate of
-    a smaller nested section is such a start.  From the default start the
-    result is bit for bit that of the plain allocating loop sketched below.
+    vector, and stops when successive Rayleigh estimates differ by less
+    than tol in the caller's units.  It reads the section's column weights
+    in place and copies its row weights once, zero below first_row and in
+    the power-of-two frame; each estimate is scaled back exactly.  A start
+    shorter than the section is extended by repeating its last entry, then
+    normalized; it must be nonnegative with a positive first entry, which
+    keeps its overlap with the top singular vector positive.  Every entry
+    of A is nonnegative, so A^T A is entrywise positive on the columns up
+    to the last nonzero row and zero beyond them; by Perron-Frobenius the
+    top right singular vector is positive on those columns, the first among
+    them.  The final iterate of a smaller nested section is such a start.
+    From the default start the result is bit for bit that of the plain
+    allocating loop sketched below.
     Non-convergence within MAX_ITER steps is reported through
     residual > tol; a norm past the double range raises.
     """
@@ -195,21 +203,18 @@ def section_norm(op: SectionOp, tol: float = TOL, start=(1.0,)) -> OpNormEstimat
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     v = _start_vector(start, op.size)
 
-    w_in, w_out = _conjugation_weights(op)
-    peak = float(np.max(w_out))
+    w_in, w_row = op.weights
+    peak = float(np.max(w_row[op.first_row :], initial=0.0))
     if peak == 0.0:
         return OpNormEstimate(0.0, 0, 0.0, v)
     too_big = f"size-{op.size} section norm exceeds the double range"
-    # The column weights are divided by the power of two that brings their
-    # maximum into [1, 2), then the row weights by the one that does so for
-    # the largest entry, which the norm is at least; the column weights are
-    # monotone, so it lies in column 0 or on the diagonal.  Estimates scale
-    # back by 2^scale in one ldexp, which raises only if the norm overflows.
-    in_peak = float(np.max(w_in))
-    if not math.isfinite(in_peak):
+    # w_in[0] = 1, so the norm is at least the largest row weight.  Estimates
+    # scale back by 2^scale in one ldexp, which raises only on overflow.
+    if not math.isfinite(peak):
         raise ValueError(too_big)
-    in_scale = math.frexp(in_peak)[1] - 1
-    np.ldexp(w_in, -in_scale, out=w_in)
+    scale = math.frexp(peak)[1] - 1
+    w_out = np.zeros(op.size)
+    np.ldexp(w_row[op.first_row :], -scale, out=w_out[op.first_row :])
     # av, then (A^T A v) unnormalized, are built in place in a and b, in
     # the same operation order as the plain expressions
     #     av = w_out * np.cumsum(w_in * v)
@@ -217,14 +222,6 @@ def section_norm(op: SectionOp, tol: float = TOL, start=(1.0,)) -> OpNormEstimat
     # so the buffers change no bit of the result.
     a = np.empty(op.size)
     b = np.empty(op.size)
-    with np.errstate(over="ignore"):
-        np.multiply(w_out, w_in, out=a)
-    peak = max(peak * float(w_in[0]), float(np.max(a)))
-    if not math.isfinite(peak):
-        raise ValueError(too_big)
-    out_scale = math.frexp(peak)[1] - 1
-    np.ldexp(w_out, -out_scale, out=w_out)
-    scale = out_scale + in_scale
     b_rev = b[::-1]
     sigma_prev = None
     sigma = 0.0
@@ -275,13 +272,14 @@ def norm_growth_profile(
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
 
-    # Sections are nested, so every size reads a prefix of one sequence.
-    moments = moment_sequence(measure, sizes[-1])
+    # Sections are nested, so every size reads prefixes of the moments and
+    # weights of the largest.
+    top = SectionOp(measure, alpha, beta, sizes[-1])
 
     profile = []
     start = (1.0,)
     for n in sizes:
-        op = SectionOp(measure, alpha, beta, n, moments=moments)
+        op = replace(top, size=n)
         est = section_norm(op, tol=tol, start=start)
         profile.append((n, est))
         start = est.vector

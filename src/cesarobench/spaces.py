@@ -37,7 +37,8 @@ class SpaceIndex:
     The norm is defined for every real alpha.  Operations that verify the
     boundedness or compactness characterizations additionally require
     0 < alpha < 2 and enforce that at their own entry points through
-    require_index.
+    require_index, operators.SectionOp among them, which every section
+    norm builds.
     """
 
     alpha: float

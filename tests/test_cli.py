@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,6 @@ from cesarobench.cli import (
     DEFAULT_MEASURES,
     DEFAULT_PAIRS,
     PanelConfig,
-    _PANEL_KEYS,
     build_panel,
     default_config,
     load_config,
@@ -83,6 +83,24 @@ class TestPanelConfig:
         with pytest.raises(ConfigError, match="measures"):
             PanelConfig(measures=())
 
+    def test_repeated_pair_or_measure_name_rejected(self, tmp_path) -> None:
+        # Each would evaluate and report the same panel entries twice.
+        with pytest.raises(ConfigError, match=r"space pairs: \[\(1, 1\)\]"):
+            PanelConfig(pairs=((1.0, 1.0), (0.5, 1.5), (1, 1)))
+        leb = ("leb", "lebesgue")
+        with pytest.raises(ConfigError, match=r"duplicate measure names: \['leb'\]"):
+            PanelConfig(measures=(leb, ("atom", "atom(0.5,1.0)"), leb))
+        with pytest.raises(ConfigError, match="duplicate measure names"):
+            PanelConfig(measures=(leb, ("leb", "atom(0.5,1.0)")))
+        # configparser rejects a repeated key; a repeated pair is one value.
+        path = tmp_path / "panel.ini"
+        path.write_text(
+            "[panel]\npairs = 1.0,1.0; 1.0,1.0\n[measures]\nleb = lebesgue\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match="duplicate space pairs"):
+            load_config(str(path))
+
 
 class TestLoadConfig:
     def test_full_round_trip(self, tmp_path) -> None:
@@ -119,6 +137,19 @@ class TestLoadConfig:
         path = tmp_path / "panel.ini"
         path.write_text("[extras]\nx = 1\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="extras"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("rest", ["", "[panel]\ntol = 1e-8\n"])
+    def test_default_section_rejected(self, tmp_path, rest) -> None:
+        # configparser copies [DEFAULT] keys into every section, where they
+        # would pose as measures or as [panel] keys.
+        path = tmp_path / "panel.ini"
+        path.write_text(
+            "[DEFAULT]\nextra = atom(0.5,1.0)\n" + rest
+            + "[measures]\nleb = lebesgue\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match=r"unknown config sections: \['DEFAULT'\]"):
             load_config(str(path))
 
     # The tail and moment grids are fixed (analysis.CARLESON_GRID and
@@ -163,7 +194,9 @@ class TestReadmeConfig:
     def test_example_sets_every_panel_key(self) -> None:
         parser = configparser.ConfigParser(interpolation=None)
         parser.read_string(_readme_block("ini"))
-        assert sorted(parser["panel"]) == sorted(_PANEL_KEYS)
+        # Every PanelConfig field but the measures is a [panel] key.
+        keys = {f.name for f in fields(PanelConfig)} - {"measures"}
+        assert sorted(parser["panel"]) == sorted(keys)
 
 
 class TestReadmeLibrarySketch:
@@ -417,9 +450,10 @@ class TestCmdNormGrowth:
     @staticmethod
     def _error_exit(capsys, *flags: str) -> str:
         assert main(["norm-growth", "--measure", "lebesgue", *flags]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        return err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+        return captured.err
 
     def test_bad_sizes_exit_2(self, capsys) -> None:
         self._error_exit(capsys, "--alpha", "1.0", "--beta", "1.0", "--sizes", "64,xyz")
@@ -439,12 +473,10 @@ class TestCmdNormGrowth:
 
     def test_overflowing_norm_exit_2(self, capsys) -> None:
         # The second measure's total mass fits, but its row weight
-        # (n+1)^0.45 mu_n does not; at alpha = 1000 the column weight
-        # (k+1)^499.5 leaves the double range by k = 7.
+        # (n+1)^0.45 mu_n does not.
         for measure, alpha, beta, sizes in [
             (OVERFLOWING_MEASURE, "1.5", "0.5", "64,1024"),
             ("atom(0.99999,1.7e308)", "1", "0.1", "16,32"),
-            ("lebesgue", "1000", "1", "4,8"),
         ]:
             argv = ["norm-growth", "--measure", measure,
                     "--alpha", alpha, "--beta", beta, "--sizes", sizes]
@@ -453,6 +485,14 @@ class TestCmdNormGrowth:
             assert captured.err.startswith("error:")
             assert "double range" in captured.err
             assert captured.out == ""
+
+    def test_index_outside_the_open_range_exit_2(self, capsys) -> None:
+        # Like verify, norm-growth takes alpha and beta in (0, 2) only.
+        for alpha, beta in (("1000", "1"), ("2", "1"), ("1", "0"), ("1", "-0.5")):
+            err = self._error_exit(
+                capsys, "--alpha", alpha, "--beta", beta, "--sizes", "4,8"
+            )
+            assert "must lie in (0, 2)" in err
 
     def test_nan_tol_exit_2(self, capsys) -> None:
         # NaN fails every comparison, so only an explicit finiteness check

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +20,13 @@ from cesarobench.operators import (
     TOL,
     OpNormEstimate,
     SectionOp,
-    _conjugation_weights,
     apply,
     norm_growth_profile,
     section_norm,
     tail_section,
 )
 from cesarobench.spaces import CoeffVec, SpaceIndex
+from conftest import conjugation_weights
 
 LEB = Measure.lebesgue()
 S1 = SpaceIndex(1.0)
@@ -46,7 +47,7 @@ def reference_section_norm(op: SectionOp, tol: float = TOL):
     """Cold-start power iteration as plain allocating expressions: the
     operation order section_norm's in-place buffers must keep bit for bit.
     Returns (value, iterations, residual)."""
-    w_in, w_out = _conjugation_weights(op)
+    w_in, w_out = conjugation_weights(op)
     peak = float(np.max(w_out))
     if peak == 0.0:
         return 0.0, 0, 0.0
@@ -72,11 +73,8 @@ def reference_section_norm(op: SectionOp, tol: float = TOL):
 
 def hardy_lower_bound(op: SectionOp) -> float:
     """B = max_m sqrt(sum_{k<=m} w_in_k^2 * sum_{n>=m} w_out_n^2) <= ||A||,
-    from the weights written out here rather than taken from operators."""
-    idx = np.arange(1, op.size + 1, dtype=float)
-    w_in = idx ** (-(1.0 - op.alpha.alpha) / 2.0)
-    w_out = idx ** ((1.0 - op.beta.alpha) / 2.0) * op.moments
-    w_out[: op.first_row] = 0.0
+    from the weights written out rather than taken from operators."""
+    w_in, w_out = conjugation_weights(op)
     head = np.cumsum(w_in * w_in)
     tail = np.cumsum((w_out * w_out)[::-1])[::-1]
     return math.sqrt(float(np.max(head * tail)))
@@ -111,12 +109,49 @@ class TestSectionOp:
         with pytest.raises(ValueError):
             op.moments[0] = 2.0
         assert seq.flags.writeable
+        # Nested and tail sections read prefixes of the weights of the
+        # section they derive from, bit-identical to those of a fresh build.
+        alpha, beta = SpaceIndex(0.5), SpaceIndex(1.5)
+        top = SectionOp(m, alpha, beta, 64)
+        for op in (replace(top, size=16), tail_section(top, 20),
+                   tail_section(replace(top, size=40), 10)):
+            fresh = SectionOp(m, alpha, beta, op.size)
+            for got, parent, want in zip(op.weights, top.weights, fresh.weights):
+                assert np.shares_memory(got, parent)
+                assert got.shape == (op.size,)
+                assert not got.flags.writeable
+                assert np.array_equal(got, want)
+        # Given alone, weights are kept as given, not recomputed.
+        w_in, w_row = np.ones(32), np.full(32, 0.5)
+        op = SectionOp(m, alpha, beta, 16, weights=(w_in, w_row))
+        assert np.shares_memory(op.weights[0], w_in)
+        assert np.shares_memory(op.weights[1], w_row)
+        assert w_in.flags.writeable and w_row.flags.writeable
 
     def test_short_moment_array_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="moments"):
             SectionOp(LEB, S1, S1, 8, moments=moment_sequence(LEB, 7))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="moments"):
             SectionOp(LEB, S1, S1, 8, moments=np.ones((8, 1)))
+        good = np.ones(8)
+        for bad in (np.ones(7), np.ones((8, 1))):
+            with pytest.raises(ValueError, match="w_in"):
+                SectionOp(LEB, S1, S1, 8, weights=(bad, good))
+            with pytest.raises(ValueError, match="w_row"):
+                SectionOp(LEB, S1, S1, 8, weights=(good, bad))
+        with pytest.raises(ValueError):
+            SectionOp(LEB, S1, S1, 8, weights=(good,))
+
+    @pytest.mark.parametrize("bad", [0.0, 2.0, -0.5, 300.0, 1000.0])
+    def test_index_outside_the_open_range_rejected(self, bad):
+        # The characterizations hold for alpha and beta in (0, 2), so every
+        # section, and with it every norm profile, is held to that range.
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2\)"):
+            SectionOp(LEB, SpaceIndex(bad), S1, 8)
+        with pytest.raises(ValueError, match=r"beta must lie in \(0, 2\)"):
+            SectionOp(LEB, S1, SpaceIndex(bad), 8)
+        with pytest.raises(ValueError, match=r"must lie in \(0, 2\)"):
+            norm_growth_profile(LEB, SpaceIndex(bad), S1, [4, 8])
 
 
 class TestApply:
@@ -247,25 +282,6 @@ class TestSectionNorm:
                 want = dense_norm(op)
                 assert pw.value == pytest.approx(want, rel=1e-8), (name, a, b, n)
 
-    def test_large_alpha_column_weights_stay_in_range(self, dense_norm):
-        # Column weights (k+1)^((alpha-1)/2) up to about 1e134, whose
-        # squares overflow unless they too are iterated in the frame.  In
-        # the atom's section the largest column weight, 4^499.5, meets a
-        # row weight of 1e-300, and the largest entry, about 1e50, lies in
-        # row 1: scaled by their own maxima alone, the squares underflow.
-        for expr, a, n in (
-            ("lebesgue", 300.0, 4),
-            ("lebesgue", 300.0, 8),
-            ("lebesgue", 150.0, 64),
-            ("atom(1e-100,1.0)", 1000.0, 4),
-        ):
-            op = SectionOp(parse_measure(expr), SpaceIndex(a), S1, n)
-            want = pytest.approx(dense_norm(op), rel=1e-8, abs=0.0)
-            assert section_norm(op).value == want, (expr, a, n)
-        # At alpha = 1000 the size-8 column weights pass the double range.
-        with pytest.raises(ValueError, match="double range"):
-            section_norm(SectionOp(LEB, SpaceIndex(1000.0), S1, 8))
-
     def test_power_matches_svd_at_2048(self, dense_norm):
         op = SectionOp(LEB, S1, S1, 2048)
         pw = section_norm(op, tol=1e-9)
@@ -329,7 +345,7 @@ class TestSectionNorm:
         assert float(np.sum(est.vector**2)) == pytest.approx(1.0, rel=1e-14)
         assert np.all(est.vector > 0.0)
         # ||A v|| is the reported value.
-        w_in, w_out = _conjugation_weights(op)
+        w_in, w_out = conjugation_weights(op)
         image = w_out * np.cumsum(w_in * est.vector)
         assert math.sqrt(float(np.sum(image**2))) == pytest.approx(est.value, rel=1e-14)
         assert est == OpNormEstimate(est.value, est.iterations, est.residual)
