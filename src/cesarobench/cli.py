@@ -115,16 +115,17 @@ def load_config(path: str) -> PanelConfig:
     """Read a panel config: INI text with [panel] and [measures] sections,
     and no others, [DEFAULT] included.
 
-    [panel] keys (all optional, no others): pairs as semicolon-separated
-    alpha,beta; sizes as comma-separated integers; tol a scalar.  sizes
-    and tol become PanelConfig.sizes and .tol and are checked only by the
-    engines that use them.  [measures] maps entry names to
-    measure expressions, which may use {s...} placeholders.  Omitted parts
-    fall back to the default panel.
+    [panel] keys (all optional, no others, case ignored): pairs as
+    semicolon-separated alpha,beta; sizes as comma-separated integers; tol
+    a scalar.  sizes and tol become PanelConfig.sizes and .tol and are
+    checked only by the engines that use them.  [measures] maps entry
+    names, case kept, to measure expressions, which may use {s...}
+    placeholders.  Omitted parts fall back to the default panel.
     """
     import configparser
 
     parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str  # entry names keep their case
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -141,10 +142,12 @@ def load_config(path: str) -> PanelConfig:
 
     kwargs: dict = {}
     if parser.has_section("panel"):
-        panel = parser["panel"]
+        panel = {key.lower(): value for key, value in parser["panel"].items()}
         bad = set(panel) - set(_PANEL_KEYS)
         if bad:
             raise ConfigError(f"unknown [panel] keys: {sorted(bad)}")
+        if len(panel) < len(parser["panel"]):
+            raise ConfigError(f"repeated [panel] keys: {sorted(parser['panel'])}")
         try:
             if "pairs" in panel:
                 pairs = []

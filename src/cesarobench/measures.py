@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special as _sp
@@ -302,7 +302,9 @@ def moments_at(m: Measure, ns) -> np.ndarray:
     ns = np.asarray(ns, dtype=float)
     total = np.zeros_like(ns)
     for t0, mass in m.atoms:
-        total += mass * t0**ns
+        # pow is slow where t0^n rounds to +0 (n log2(1/t0) > 1075): skip it.
+        live = ns * -math.log2(t0) < 1076.0 if t0 > 0.0 else True
+        total += mass * np.power(t0, ns, out=np.zeros_like(ns), where=live)
     for c, gamma, delta in m.densities:
         a = ns + delta + 1.0
         b = gamma + 1.0
@@ -347,19 +349,25 @@ def dyadic_grid(n_max: int) -> list[int]:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
-# Panel edges in u = t^n, dyadic toward both ends.  Toward 0 they resolve
-# the large-n integrand, which varies with log(1/u) / n; toward 1 they
-# resolve the tail's (1-t)^(gamma+1) endpoint.  On 36 measures at 81 values
-# of n up to 2^20, dropping the edges toward 0 broke the 1e-7 contract on
-# 2336 values and dropping those toward 1 on 649; depth 30 at both ends
-# gave a worst error of 4e-9 against mpmath, 45 gave 1.8e-11, and 52 gave
-# nothing more.
+# Panel edges in u = t^n, in increasing order and dyadic toward both ends.
+# Toward 0 they resolve the large-n integrand, which varies with log(1/u) / n;
+# toward 1 they resolve the tail's (1-t)^(gamma+1) endpoint.  On 36 measures
+# at 81 values of n up to 2^20, dropping the edges toward 0 broke the 1e-7
+# contract on 2336 values and dropping those toward 1 on 649; depth 30 at
+# both ends gave a worst error of 4e-9 against mpmath, 45 gave 1.8e-11, and
+# 52 gave nothing more.  Listed in order, not through np.unique, whose first
+# call raised a process's peak RSS by 128 KB.
 _PANEL_DEPTH = 45
 _U_EDGES = np.array(
-    [0.0, 1.0]
-    + [0.5**j for j in range(1, _PANEL_DEPTH + 1)]
-    + [1.0 - 0.5**j for j in range(1, _PANEL_DEPTH + 1)]
+    [0.0]
+    + [0.5**j for j in range(_PANEL_DEPTH, 0, -1)]
+    + [1.0 - 0.5**j for j in range(2, _PANEL_DEPTH + 1)]
+    + [1.0]
 )
+_HALF = 0.5 * np.diff(_U_EDGES)[:, None]
+_U_NODES = _U_EDGES[:-1, None] + _HALF * (1.0 + _GL_NODES)
+_U_WEIGHTS = _HALF * _GL_WEIGHTS
+_U_NODES.flags.writeable = _U_WEIGHTS.flags.writeable = False
 
 # Largest n at which moment_by_parts keeps its 1e-7 accuracy; past it
 # u^(1/n) rounds near 1 and the route drifts (2.1e-5 relative at 2^40).
@@ -371,22 +379,24 @@ def moment_by_parts(m: Measure, n: int) -> float:
 
     The substitution u = t^n turns this into int_0^1 mu([u^{1/n},1)) du,
     whose integrand is bounded by the total mass and carries no weight
-    that depends on n, so one fixed panel set serves every n: 24-point
+    that depends on n, so one fixed node set serves every n: 24-point
     Gauss-Legendre on panels with edges 0, 1, 2^-j and 1 - 2^-j for
-    j = 1.._PANEL_DEPTH, plus each atom's jump at u = t0^n.  Accurate to
-    1e-7 relative up to n = BY_PARTS_N_MAX = 2^32; a larger n raises
-    ValueError, since there u^{1/n} rounds near 1 and 1 - t carries about
-    1e-16 / (1 - t) relative error.  Serves as an independent cross-check
-    of moment().
+    j = 1.._PANEL_DEPTH, built once at import.  Each atom adds the area
+    mass * t0^n of its step in u in closed form, as moment() does, so the
+    densities' quadrature alone is an independent cross-check of moment().
+    Accurate to 1e-7 relative up to n = BY_PARTS_N_MAX = 2^32; a larger n
+    raises ValueError, since there u^{1/n} rounds near 1 and 1 - t carries
+    about 1e-16 / (1 - t) relative error.
     """
     if not 1 <= n <= BY_PARTS_N_MAX:
         raise ValueError(
             f"integration by parts requires 1 <= n <= {BY_PARTS_N_MAX}, got {n}"
         )
-    edges = np.unique(np.concatenate([_U_EDGES, [t0**n for t0, _ in m.atoms]]))
-    half = 0.5 * np.diff(edges)[:, None]
-    us = edges[:-1, None] + half * (1.0 + _GL_NODES)
+    steps = sum(mass * t0**n for t0, mass in m.atoms)
+    if not m.densities:
+        return float(steps)
     # Nodes near u = 1 can round t up to 1.0 exactly; keep them strictly
     # inside the domain of the tail.
-    ts = np.minimum(us ** (1.0 / n), np.nextafter(1.0, 0.0))
-    return float(np.sum(half * _GL_WEIGHTS * tail_values(m, ts)))
+    ts = np.minimum(_U_NODES ** (1.0 / n), np.nextafter(1.0, 0.0))
+    tails = tail_values(replace(m, atoms=()) if m.atoms else m, ts)
+    return float(steps + np.sum(_U_WEIGHTS * tails))

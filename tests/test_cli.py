@@ -161,6 +161,29 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=rf"unknown \[panel\] keys: \['{key}'\]"):
             load_config(str(path))
 
+    def test_measure_names_keep_their_case(self, tmp_path) -> None:
+        path = tmp_path / "panel.ini"
+        path.write_text(
+            "[panel]\nPairs = 1.0,1.0\nTOL = 1e-8\n"
+            "[measures]\nMyAtom = atom(0.5,1.0)\nmyatom = atom(0.9,1.0)\n",
+            encoding="utf-8",
+        )
+        config = load_config(str(path))
+        # Names that differ only by case are two entries; [panel] keys
+        # ignore case.
+        assert config.measures == (
+            ("MyAtom", "atom(0.5,1.0)"),
+            ("myatom", "atom(0.9,1.0)"),
+        )
+        assert config.pairs == ((1.0, 1.0),)
+        assert config.tol == 1e-8
+
+    def test_panel_key_repeated_in_another_case_rejected(self, tmp_path) -> None:
+        path = tmp_path / "panel.ini"
+        path.write_text("[panel]\ntol = 1e-8\nTol = 1e-9\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"repeated \[panel\] keys: \['Tol', 'tol'\]"):
+            load_config(str(path))
+
     def test_malformed_pairs_rejected(self, tmp_path) -> None:
         path = tmp_path / "panel.ini"
         path.write_text("[panel]\npairs = 1.0\n", encoding="utf-8")
@@ -572,6 +595,21 @@ class TestCmdVerify:
         assert main(["verify", "--config", str(config), "--out", str(out_b)]) == 0
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
         assert (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
+
+    def test_measure_name_case_reaches_stdout_and_reports(self, tmp_path, capsys) -> None:
+        config = tmp_path / "panel.ini"
+        config.write_text(
+            "[panel]\npairs = 1.0,1.0\nsizes = 64,128,256\n"
+            "[measures]\nMyAtom = atom(0.5,1.0)\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "reports"
+        assert main(["verify", "--config", str(config), "--out", str(out_dir)]) == 0
+        assert "OK MyAtom (1.0,1.0)" in capsys.readouterr().out
+        doc = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert [entry["name"] for entry in doc["entries"]] == ["MyAtom"]
+        rows = (out_dir / "report.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert rows and all(row.startswith("MyAtom,") for row in rows)
 
     def test_out_of_range_pair_exit_2(self, tmp_path, capsys) -> None:
         config = tmp_path / "panel.ini"

@@ -399,6 +399,86 @@ class TestMomentByParts:
             assert got == pytest.approx(1.0 / (n + 1), rel=1e-7), n
 
 
+# The by-parts node set as the moment_by_parts docstring describes it.
+_BY_PARTS_EDGES = np.unique(
+    [0.0, 1.0] + [0.5**j for j in range(1, 46)] + [1.0 - 0.5**j for j in range(1, 46)]
+)
+_BY_PARTS_NS = list(range(1, 65)) + [1 << k for k in range(7, 33)]
+
+
+def _by_parts_reference(m: Measure, n: int) -> float:
+    """The quadrature of mu([u^{1/n},1)) du on the documented panels."""
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    half = 0.5 * np.diff(_BY_PARTS_EDGES)[:, None]
+    us = _BY_PARTS_EDGES[:-1, None] + half * (1.0 + nodes)
+    ts = np.minimum(us ** (1.0 / n), np.nextafter(1.0, 0.0))
+    return float(np.sum(half * weights * tail_values(m, ts)))
+
+
+class TestMomentByPartsClosedForm:
+    """Atoms enter in closed form; densities keep the documented quadrature."""
+
+    def test_atom_free_measures_match_the_documented_quadrature(self):
+        for expr in PANEL:
+            m = parse_measure(expr)
+            if m.atoms:
+                continue
+            for n in _BY_PARTS_NS:
+                assert moment_by_parts(m, n) == _by_parts_reference(m, n), (expr, n)
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["atom(0.5,1.0)", "atom(0.9,1.0)", "atom(0.0,2.0)", "atom(0.3,0.7)+atom(0.99,1.5)"],
+    )
+    def test_pure_atoms_are_their_closed_form(self, expr):
+        m = parse_measure(expr)
+        for n in _BY_PARTS_NS:
+            assert moment_by_parts(m, n) == sum(mass * t0**n for t0, mass in m.atoms)
+
+    @pytest.mark.parametrize("expr", ["atom(0.5,1.0)", "atom(0.9,1.0)"])
+    def test_panel_atoms_have_zero_abs_diff_in_the_moments_table(self, expr):
+        # As the README states for the moments table up to n = 2^20.
+        m = parse_measure(expr)
+        for n in dyadic_grid(1 << 20):
+            assert moment_by_parts(m, n) == moment(m, n), n
+
+    def test_mixture_is_atoms_plus_its_density_part(self):
+        for expr in PANEL:
+            m = parse_measure(expr)
+            if not (m.atoms and m.densities):
+                continue
+            density_only = Measure(densities=m.densities)
+            for n in _BY_PARTS_NS:
+                steps = sum(mass * t0**n for t0, mass in m.atoms)
+                assert moment_by_parts(m, n) == steps + moment_by_parts(density_only, n)
+
+    def test_mixed_templates_against_mpmath(self):
+        panel = build_panel(default_config())
+        mixed = [m for name, m, _, _ in panel if name in ("mix_atom_crit", "mix_atom_sub")]
+        assert len(mixed) == 10
+        for m in mixed:
+            for n in (1, 7, 64, 1 << 20, 1 << 32):
+                with mpmath.workdps(40):
+                    exact = sum(
+                        mpmath.mpf(mass) * mpmath.mpf(t0) ** n for t0, mass in m.atoms
+                    ) + sum(_exact_moment(c, g, d, n) for c, g, d in m.densities)
+                    rel = abs((mpmath.mpf(moment_by_parts(m, n)) - exact) / exact)
+                assert rel <= 1e-7, (format_measure(m), n, float(rel))
+
+
+class TestMomentsAtAtoms:
+    """moments_at skips pow where an atom's power rounds to +0, bit for bit."""
+
+    @pytest.mark.parametrize("t0", [0.0, 0.5, 0.9, 0.99, 1.0 - 2.0**-20])
+    def test_matches_the_plain_power(self, t0):
+        rng = np.random.default_rng(7)
+        sparse = rng.permutation(np.unique(rng.integers(0, 1 << 20, 4096))).astype(float)
+        for ns in (np.arange(1 << 17, dtype=float), sparse):
+            got = moments_at(Measure.atom(t0, 0.75), ns)
+            want = 0.75 * t0**ns
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), t0
+
+
 def test_dyadic_grid():
     assert dyadic_grid(64) == [1, 2, 4, 8, 16, 32, 64]
     assert dyadic_grid(100) == [1, 2, 4, 8, 16, 32, 64]
