@@ -17,7 +17,7 @@ under empirical test, and a disagreement is a falsification event.
 
 Decision constants are frozen from calibration runs documented alongside
 each constant, on the fixed grids beside them.  The only settable budgets,
-the norm engine's sizes (default NORM_SIZES) and the power-iteration tol,
+the norm engine's sizes (default NORM_SIZES) and the Lanczos relative tol,
 are plain arguments of check_equivalence and evaluate_panel, and
 cli.PanelConfig holds them.  All engines are pure and deterministic.
 """

@@ -433,7 +433,7 @@ class TestCmdNormGrowth:
         assert rc == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert [row["N"] for row in doc["rows"]] == [16, 32]
-        assert doc["rows"][0]["method"] == "power_iteration"
+        assert doc["rows"][0]["method"] == "lanczos"
 
     def test_csv_matches_profile(self, capsys) -> None:
         rc = main(
