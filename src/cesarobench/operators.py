@@ -46,7 +46,7 @@ __all__ = [
 
 # Lanczos steps before section_norm stops and reports its residual.  One
 # pass of the full default panel needs at most 9 at TOL, and at most 12
-# even at tol = 1e-16, which only successive values equal to the last bit
+# even at tol = 1e-300, which only successive values equal to the last bit
 # meet; 40 leaves more than three times that.  Step k finds the top
 # eigenvalue of a k x k tridiagonal in O(k), so the cap bounds a step's
 # cost too.
@@ -210,9 +210,15 @@ def _top_eigenvalue(diag: list, off2: list, lam: float) -> float:
     runs the Sturm recurrence q_i = d_i - lam - off2_{i-1} / q_{i-1}, whose
     pivots are all negative above the largest eigenvalue, together with
     its derivative; p'/p of the characteristic polynomial is the sum of
-    q_i'/q_i.  Plain Python floats, so the result does not depend on BLAS.
+    q_i'/q_i.  Newton's step falls only linearly on a cluster of equal top
+    eigenvalues, which the ghost copies of a long run leave; once a step
+    is more than half the last one, bisection on the sign of the pivots
+    finishes inside [lam - k * step, lam], which holds the eigenvalue
+    because a Newton step from above covers at least 1/k of the distance.
+    Plain Python floats, so the result does not depend on BLAS.
     """
     rest = list(zip(diag[1:], off2))
+    last = math.inf
     for _ in range(NEWTON_MAX):
         q = diag[0] - lam
         dq = -1.0
@@ -227,10 +233,33 @@ def _top_eigenvalue(diag: list, off2: list, lam: float) -> float:
             # A pivot that is exactly zero puts lam on an eigenvalue.
             return lam
         step = 1.0 / s
+        if step > 0.5 * last:
+            return _bisect_top(diag, rest, lam - len(diag) * step, lam)
         lam -= step
         if step <= NEWTON_STEP * lam:
             break
+        last = step
     return lam
+
+
+def _bisect_top(diag: list, rest: list, low: float, high: float) -> float:
+    """Bisect [low, high] down to NEWTON_STEP relative width on whether
+    every Sturm pivot is negative, that is, whether the midpoint lies above
+    the largest eigenvalue; returns the upper end."""
+    while high - low > NEWTON_STEP * high:
+        mid = 0.5 * (low + high)
+        q = diag[0] - mid
+        above = q < 0.0
+        for d, c2 in rest:
+            if not above:
+                break
+            q = d - mid - c2 / q
+            above = q < 0.0
+        if above:
+            high = mid
+        else:
+            low = mid
+    return high
 
 
 def _ritz_head(diag: list, off2: list, lam: float, terms: int) -> list[float]:
@@ -330,7 +359,7 @@ def section_norm(
     diag: list[float] = []
     off2: list[float] = []
     alpha = beta = lam = 0.0
-    sigma_prev = None
+    root_prev = None
     sigma = 0.0
     residual = math.inf
     for k in range(1, MAX_ITER + 1):
@@ -354,15 +383,19 @@ def section_norm(
             half = 0.5 * (lam - diag[-1])
             bound = lam - half + math.sqrt(half * half + off2[-1])
             lam = _top_eigenvalue(diag, off2, bound)
+        root = math.sqrt(lam)
         try:
-            sigma = math.ldexp(math.sqrt(lam), scale)
+            sigma = math.ldexp(root, scale)
         except OverflowError:
             raise ValueError(too_big) from None
-        if sigma_prev is not None:
-            residual = abs(sigma - sigma_prev)
-            if residual < tol * sigma:
+        # The stop is tested in the frame, where tol * value cannot
+        # underflow; scaling the gap back is exact unless it underflows.
+        if root_prev is not None:
+            gap = abs(root - root_prev)
+            residual = math.ldexp(gap, scale)
+            if gap < tol * root:
                 break
-        sigma_prev = sigma
+        root_prev = root
         if alpha == 0.0:
             residual = 0.0
             break

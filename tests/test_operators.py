@@ -66,7 +66,7 @@ def reference_section_norm(op: SectionOp, tol: float = TOL):
     p = np.zeros(op.size)
     vs, diag, off2 = [], [], []
     alpha = beta = lam = 0.0
-    sigma_prev = None
+    root_prev = None
     residual = math.inf
     for k in range(1, MAX_ITER + 1):
         vs.append(v)
@@ -81,12 +81,13 @@ def reference_section_norm(op: SectionOp, tol: float = TOL):
             half = 0.5 * (lam - diag[-1])
             bound = lam - half + math.sqrt(half * half + off2[-1])
             lam = operators._top_eigenvalue(diag, off2, bound)
-        sigma = math.ldexp(math.sqrt(lam), scale)
-        if sigma_prev is not None:
-            residual = abs(sigma - sigma_prev)
-            if residual < tol * sigma:
+        root = math.sqrt(lam)
+        sigma = math.ldexp(root, scale)
+        if root_prev is not None:
+            residual = math.ldexp(abs(root - root_prev), scale)
+            if abs(root - root_prev) < tol * root:
                 break
-        sigma_prev = sigma
+        root_prev = root
         if alpha == 0.0:
             residual = 0.0
             break
@@ -467,6 +468,19 @@ class TestSectionNorm:
         assert est.value == pytest.approx(want, rel=1e-10, abs=0.0)
         assert est.residual < TOL * est.value
 
+    def test_tolerance_below_rounding_still_stops(self):
+        # tol * value underflows in the units of this tail near 1e-154, so
+        # the stop is tested in the frame: the run stops where the values
+        # agree to the last bit instead of running into MAX_ITER, where
+        # ghost copies once moved the value 4.6e-9 above the norm.
+        atom = parse_measure("atom(0.5,1.0)")
+        op = tail_section(SectionOp(atom, S1, S1, 8192), 512)
+        est = section_norm(op, tol=1e-300)
+        assert est.iterations < MAX_ITER
+        assert est.value == pytest.approx(section_norm(op).value, rel=1e-14, abs=0.0)
+        assert est.value == pytest.approx(
+            reorthogonalized_top_value(op, est.iterations), rel=1e-12, abs=0.0)
+
     def test_top_eigenvalue_matches_eigvalsh(self):
         rng = np.random.default_rng(21)
         for k in range(1, 25):
@@ -482,6 +496,14 @@ class TestSectionNorm:
         off2 = [1e-20, 1e-20]
         got = operators._top_eigenvalue(diag, off2, 6.0)
         assert got == pytest.approx(5.0 + 1e-13, rel=1e-15)
+        # Six equal top eigenvalues, where Newton's step falls by only 1/6
+        # and bisection finishes; 100 Newton steps from 10 stop 3e-8 high.
+        diag = [5.0, 1.0] * 6
+        off2 = [1e-24] * 11
+        t = np.diag(diag) + np.diag(np.sqrt(off2), 1) + np.diag(np.sqrt(off2), -1)
+        want = float(np.linalg.eigvalsh(t)[-1])
+        got = operators._top_eigenvalue(diag, off2, 10.0)
+        assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestLostOrthogonality:
