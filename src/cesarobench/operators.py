@@ -11,10 +11,15 @@ lower-triangular matrix
 The norm comes from Golub-Kahan-Lanczos bidiagonalization of A (Lanczos
 1950; Golub and Kahan 1965), the Lanczos process on A^T A, with both
 matrix-vector products applied matrix-free through prefix sums, so no
-N x N array is ever formed, and each call works in four arrays of length N
-allocated once.  It runs on the row weights divided by the power of two
-that brings their maximum into [1, 2); that is exact, and keeps tails near
-1e-154 from underflowing and masses near 1e300 from overflowing.
+N x N array is ever formed.  A call works in rows of length N cut from
+one float block, four of them or seven where it builds a Ritz vector, and
+a norm profile runs all its sizes in one block: freeing one large block
+keeps glibc from handing the profile's megabyte arrays back to the
+kernel, whose fresh zeroed pages cost about 15 % of a profile (see the
+comment in norm_growth_profile).  It runs on the row weights divided by the power
+of two that brings their maximum into [1, 2); that is exact, and keeps
+tails near 1e-154 from underflowing and masses near 1e300 from
+overflowing.
 Iteration stops once two successive Ritz values differ by less than the
 requested relative tolerance (TOL by default) or after MAX_ITER steps.  A
 norm profile reads prefixes of its largest section's moments and weights,
@@ -183,22 +188,22 @@ def tail_section(op: SectionOp, m: int) -> SectionOp:
     return replace(op, first_row=max(op.first_row, m + 1))
 
 
-def _start_vector(start, size: int) -> np.ndarray:
-    """Unit copy of start, extended to size by repeating its last entry."""
+def _start_vector(start, v: np.ndarray, squares: np.ndarray) -> None:
+    """Write into v the unit copy of start, extended to v's length by
+    repeating its last entry; squares, as long as v, is scratch."""
     start = np.asarray(start, dtype=float)
-    if start.ndim != 1 or not 1 <= start.size <= size:
+    if start.ndim != 1 or not 1 <= start.size <= v.size:
         raise ValueError(
-            f"start must be a 1-d array of 1 to {size} entries, got shape {start.shape}"
+            f"start must be a 1-d array of 1 to {v.size} entries, got shape {start.shape}"
         )
     if not (np.all(np.isfinite(start)) and np.all(start >= 0.0) and start[0] > 0.0):
         raise ValueError("start must be finite and nonnegative with start[0] > 0")
-    v = np.empty(size)
     v[: start.size] = start
     v[start.size :] = start[-1]
     # Rescaling first keeps the squares of tiny or huge entries in range.
     np.divide(v, np.max(v), out=v)
-    np.divide(v, math.sqrt(float(np.sum(v * v))), out=v)
-    return v
+    np.multiply(v, v, out=squares)
+    np.divide(v, math.sqrt(float(np.sum(squares))), out=v)
 
 
 def _top_eigenvalue(diag: list, off2: list, lam: float) -> float:
@@ -286,7 +291,12 @@ def _ritz_head(diag: list, off2: list, lam: float, terms: int) -> list[float]:
 
 
 def section_norm(
-    op: SectionOp, tol: float = TOL, start=(1.0,), *, ritz_vector: bool = False
+    op: SectionOp,
+    tol: float = TOL,
+    start=(1.0,),
+    *,
+    ritz_vector: bool = False,
+    buffer: np.ndarray | None = None,
 ) -> OpNormEstimate:
     """Largest singular value of the conjugated section matrix.
 
@@ -326,22 +336,41 @@ def section_norm(
     vectors and changes nothing else.  Non-convergence within MAX_ITER
     steps is reported through residual >= tol * value; a norm past the
     double range raises.
+
+    The work happens in `buffer`, a 1-d float64 array that does not
+    overlap start, cut into rows of length op.size from its first entry:
+    four rows, and RITZ_TERMS more with ritz_vector.  By default the call
+    allocates one.  Its contents on entry are ignored and on return are
+    scratch: `vector` is always an array of its own.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    v = _start_vector(start, op.size)
+    length = (4 + RITZ_TERMS if ritz_vector else 4) * op.size
+    if buffer is None:
+        buffer = np.empty(length)
+    elif not (
+        isinstance(buffer, np.ndarray)
+        and buffer.dtype == np.float64
+        and buffer.ndim == 1
+        and buffer.size >= length
+    ):
+        raise ValueError(f"buffer must be a 1-d float64 array of at least {length} entries")
+    # w_out, p, t and v_1, then with ritz_vector one row for each of v_2,
+    # ..., v_{RITZ_TERMS+1}; the last goes on to hold every later v.
+    w_out, p, t, v, *spare = buffer[:length].reshape(-1, op.size)
+    _start_vector(start, v, t)
 
     w_in, w_row = op.weights
     peak = float(np.max(w_row[op.first_row :], initial=0.0))
     if peak == 0.0:
-        return OpNormEstimate(0.0, 0, 0.0, v)
+        return OpNormEstimate(0.0, 0, 0.0, v.copy())
     too_big = f"size-{op.size} section norm exceeds the double range"
     # w_in[0] = 1, so the norm is at least the largest row weight.  Values
     # scale back by 2^scale in one ldexp, which raises only on overflow.
     if not math.isfinite(peak):
         raise ValueError(too_big)
     scale = math.frexp(peak)[1] - 1
-    w_out = np.zeros(op.size)
+    w_out[: op.first_row] = 0.0
     np.ldexp(w_row[op.first_row :], -scale, out=w_out[op.first_row :])
     # The recurrence keeps v_k unit and p_k = alpha_k u_k unnormalized, so
     # only v is divided.  t receives A v_k, then p_k; p holds p_{k-1}, then
@@ -352,9 +381,7 @@ def section_norm(
     #     p_k = w_out * np.cumsum(w_in * v) - (beta / alpha) * p
     #     r_k = w_in * np.cumsum((w_out * p_k)[::-1])[::-1] - (alpha * alpha) * v,
     # so the buffers change no bit of the result.  Where the Ritz vector is
-    # built, v_1, ..., v_RITZ_TERMS stay in `kept` and each gets a buffer.
-    p = np.empty(op.size)
-    t = np.empty(op.size)
+    # built, v_1, ..., v_RITZ_TERMS stay in `kept`, each in its own row.
     kept = []
     diag: list[float] = []
     off2: list[float] = []
@@ -402,7 +429,7 @@ def section_norm(
         np.multiply(w_out, t, out=p)
         np.cumsum(p[::-1], out=p[::-1])
         np.multiply(w_in, p, out=p)
-        v_next = np.empty(op.size) if keep else v
+        v_next = spare[k - 1] if keep else v
         np.multiply(v, alpha * alpha, out=v_next)
         np.subtract(p, v_next, out=p)
         np.multiply(p, p, out=v_next)
@@ -425,7 +452,7 @@ def section_norm(
             np.add(vector, basis, out=vector)
         np.abs(vector, out=vector)
         np.multiply(vector, vector, out=t)
-        np.divide(vector, math.sqrt(float(np.sum(t))), out=vector)
+        vector = np.divide(vector, math.sqrt(float(np.sum(t))))
     return OpNormEstimate(sigma, k, residual, vector)
 
 
@@ -455,12 +482,28 @@ def norm_growth_profile(
     # Sections are nested, so every size reads prefixes of the moments and
     # weights of the largest.
     top = SectionOp(measure, alpha, beta, sizes[-1])
+    # One block serves every size, each in a prefix of it: four rows of the
+    # largest size, which builds no Ritz vector, plus RITZ_TERMS rows of the
+    # one before it.  The gain is in its being one block, and a large one.
+    # Freeing an mmapped block of 4 MB or more (top size 2^17 and up) lifts
+    # glibc's dynamic mmap threshold to its size and the trim threshold to
+    # twice that (mallopt(3)), so the moments, weights and blocks of later
+    # profiles come from a heap that is no longer handed back to the
+    # kernel as long as it stays under twice the block.  On glibc 2.36 a
+    # round of six 2^10..2^17 profiles then takes about 10 minor page
+    # faults in place of 19,500, which cost some 15 % of its time; seven
+    # separate arrays of 2^17 reused across sizes still took 18,700, and a
+    # block of only 4 * 2^17 entries 9,000 to 12,100.
+    prev = sizes[-2] if len(sizes) > 1 else 0
+    block = np.empty(4 * sizes[-1] + RITZ_TERMS * prev)
 
     profile = []
     start = (1.0,)
     for n in sizes:
         op = replace(top, size=n)
-        est = section_norm(op, tol=tol, start=start, ritz_vector=n != sizes[-1])
+        est = section_norm(
+            op, tol=tol, start=start, ritz_vector=n != sizes[-1], buffer=block
+        )
         profile.append((n, est))
         start = est.vector
     return profile
