@@ -14,7 +14,10 @@ one table writer: --format csv gives a header line and one line per row,
 
 Exit codes: 0 success, 1 falsification (some panel entry's engines
 disagree), 2 usage or config errors.  All output is deterministic:
-repeated runs on the same inputs produce byte-identical files.
+repeated runs on the same inputs on one machine produce byte-identical
+files.  Across CPUs the last bits may differ, because numpy's vectorized
+np.power, which gives the atom moments, is not correctly rounded on
+every SIMD path (see the README).
 """
 
 from __future__ import annotations

@@ -11,15 +11,17 @@ lower-triangular matrix
 The norm comes from Golub-Kahan-Lanczos bidiagonalization of A (Lanczos
 1950; Golub and Kahan 1965), the Lanczos process on A^T A, with both
 matrix-vector products applied matrix-free through prefix sums, so no
-N x N array is ever formed.  A call works in rows of length N cut from
-one float block, four of them or seven where it builds a Ritz vector, and
-a norm profile runs all its sizes in one block: freeing one large block
-keeps glibc from handing the profile's megabyte arrays back to the
-kernel, whose fresh zeroed pages cost about 15 % of a profile (see the
-comment in norm_growth_profile).  It runs on the row weights divided by the power
-of two that brings their maximum into [1, 2); that is exact, and keeps
-tails near 1e-154 from underflowing and masses near 1e300 from
-overflowing.
+N x N array is ever formed; each step reads its value off the small
+tridiagonal B^T B, at most MAX_ITER x MAX_ITER, with LAPACK's symmetric
+eigensolver (np.linalg.eigvalsh).  A call works in rows of length N cut
+from one float block, four of them or seven where it builds a Ritz
+vector, and a norm profile runs all its sizes in one block: freeing one
+large block keeps glibc from handing the profile's megabyte arrays back
+to the kernel, whose fresh zeroed pages cost about 15 % of a profile (see
+the comment in norm_growth_profile).  It runs on the row weights divided
+by the power of two that brings their maximum into [1, 2); that is
+exact, and keeps tails near 1e-154 from underflowing and masses near
+1e300 from overflowing.
 Iteration stops once two successive Ritz values differ by less than the
 requested relative tolerance (TOL by default) or after MAX_ITER steps.  A
 norm profile reads prefixes of its largest section's moments and weights,
@@ -50,11 +52,13 @@ __all__ = [
 ]
 
 # Lanczos steps before section_norm stops and reports its residual.  One
-# pass of the full default panel needs at most 9 at TOL, and at most 12
-# even at tol = 1e-300, which only successive values equal to the last bit
-# meet; 40 leaves more than three times that.  Step k finds the top
-# eigenvalue of a k x k tridiagonal in O(k), so the cap bounds a step's
-# cost too.
+# pass of the full default panel needs at most 9 at TOL and 12 at 1e-15.
+# A tol below the rounding unit (1e-16, 1e-300) is met only by two
+# successive values equal to the last bit, and LAPACK's value moves in its
+# last bits from one step to the next, so there a pass needs up to 31; 40
+# still covers that.  Step k takes the top eigenvalue of the k x k
+# tridiagonal B^T B from LAPACK, so the cap also keeps that solve small
+# enough to run single-threaded.
 MAX_ITER = 40
 
 # Default stopping gap between successive Lanczos values, relative to the
@@ -63,14 +67,6 @@ TOL = 1e-9
 
 # Lanczos vectors kept to build the Ritz vector that starts the next size.
 RITZ_TERMS = 3
-
-# Newton steps on the tridiagonal's top eigenvalue stop once a step falls
-# below NEWTON_STEP times the value, or after NEWTON_MAX steps.
-NEWTON_STEP = 2.0**-50
-NEWTON_MAX = 100
-
-# Relative shift above the top eigenvalue at which _ritz_head factors.
-RITZ_SHIFT = 2.0**-40
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,90 +202,6 @@ def _start_vector(start, v: np.ndarray, squares: np.ndarray) -> None:
     np.divide(v, math.sqrt(float(np.sum(squares))), out=v)
 
 
-def _top_eigenvalue(diag: list, off2: list, lam: float) -> float:
-    """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
-    `diag` and squared off-diagonal `off2`, by Newton's method from `lam`.
-
-    From an upper bound `lam` the iterates fall monotonically; one that
-    rounding left just below the eigenvalue is overshot once.  Each step
-    runs the Sturm recurrence q_i = d_i - lam - off2_{i-1} / q_{i-1}, whose
-    pivots are all negative above the largest eigenvalue, together with
-    its derivative; p'/p of the characteristic polynomial is the sum of
-    q_i'/q_i.  Newton's step falls only linearly on a cluster of equal top
-    eigenvalues, which the ghost copies of a long run leave; once a step
-    is more than half the last one, bisection on the sign of the pivots
-    finishes inside [lam - k * step, lam], which holds the eigenvalue
-    because a Newton step from above covers at least 1/k of the distance.
-    Plain Python floats, so the result does not depend on BLAS.
-    """
-    rest = list(zip(diag[1:], off2))
-    last = math.inf
-    for _ in range(NEWTON_MAX):
-        q = diag[0] - lam
-        dq = -1.0
-        try:
-            s = dq / q
-            for d, c2 in rest:
-                r = c2 / q
-                dq = r * dq / q - 1.0
-                q = d - lam - r
-                s += dq / q
-        except ZeroDivisionError:
-            # A pivot that is exactly zero puts lam on an eigenvalue.
-            return lam
-        step = 1.0 / s
-        if step > 0.5 * last:
-            return _bisect_top(diag, rest, lam - len(diag) * step, lam)
-        lam -= step
-        if step <= NEWTON_STEP * lam:
-            break
-        last = step
-    return lam
-
-
-def _bisect_top(diag: list, rest: list, low: float, high: float) -> float:
-    """Bisect [low, high] down to NEWTON_STEP relative width on whether
-    every Sturm pivot is negative, that is, whether the midpoint lies above
-    the largest eigenvalue; returns the upper end."""
-    while high - low > NEWTON_STEP * high:
-        mid = 0.5 * (low + high)
-        q = diag[0] - mid
-        above = q < 0.0
-        for d, c2 in rest:
-            if not above:
-                break
-            q = d - mid - c2 / q
-            above = q < 0.0
-        if above:
-            high = mid
-        else:
-            low = mid
-    return high
-
-
-def _ritz_head(diag: list, off2: list, lam: float, terms: int) -> list[float]:
-    """First `terms` entries of the top eigenvector of the tridiagonal,
-    scaled so that the first is 1.
-
-    The pivots g_i of (T - lam' I) eliminated from the last row up, at a
-    shift lam' just above the eigenvalue lam, are all negative; the
-    eigenvector then satisfies y_{i+1} / y_i = -e_i / g_{i+1}.  Reading it
-    from the bottom keeps the small trailing entries of a converged
-    eigenvector out of the head.
-    """
-    shift = lam + lam * RITZ_SHIFT
-    g = diag[-1] - shift
-    pivots = [g]
-    for d, c2 in zip(diag[-2:0:-1], off2[:0:-1]):
-        g = d - shift - c2 / g
-        pivots.append(g)
-    pivots.reverse()  # pivots[i - 1] is g_{i+1}, for i = 1, ..., k - 1
-    head = [1.0]
-    for i in range(1, terms):
-        head.append(head[-1] * math.sqrt(off2[i - 1]) / -pivots[i - 1])
-    return head
-
-
 def section_norm(
     op: SectionOp,
     tol: float = TOL,
@@ -307,11 +219,12 @@ def section_norm(
     v_{k+1} = r / beta_k).  The value after step k is the square root of
     the largest eigenvalue of the k x k tridiagonal B^T B (diagonal
     alpha_i^2 + beta_{i-1}^2, off-diagonal alpha_i beta_i), the best
-    Rayleigh quotient of A^T A over the Krylov space of v_1, found by
-    _top_eigenvalue from the bound that step k - 1 leaves.  Iteration
-    stops when two successive values differ by less than tol times the
-    later one, or after MAX_ITER steps; a step whose alpha or beta is
-    exactly zero closes the Krylov space and stops with residual 0.0.
+    Rayleigh quotient of A^T A over the Krylov space of v_1.  Past step 1,
+    whose value is alpha_1, that eigenvalue comes from LAPACK through
+    np.linalg.eigvalsh on the lower triangle of B^T B.  Iteration stops
+    when two successive values differ by less than tol times the later
+    one, or after MAX_ITER steps; a step whose alpha or beta is exactly
+    zero closes the Krylov space and stops with residual 0.0.
     The three-term recurrence does not reorthogonalize: its basis loses
     orthogonality once the top value converges (Paige 1971), which
     leaves that value in place.
@@ -320,11 +233,13 @@ def section_norm(
     weights once, zero below first_row and in the power-of-two frame; each
     value is scaled back exactly.  Every reduction is np.sum, which, unlike
     the BLAS dot behind np.dot and np.linalg.norm, adds in an order that
-    does not depend on the BLAS thread count, so the result is bit for bit
-    that of the plain allocating loop written out in the tests.  A start
-    shorter than the section is extended by repeating its last entry, then
-    normalized; it must be nonnegative with a positive first entry, which
-    keeps its overlap with the top singular vector positive.  Every entry
+    does not depend on the BLAS thread count; the LAPACK solve, at most
+    MAX_ITER x MAX_ITER, gives the same bytes under 1 and 2 BLAS threads
+    (a test checks this).  So the result is bit for bit that of the plain allocating
+    loop written out in the tests.  A start shorter than the section is
+    extended by repeating its last entry, then normalized; it must be
+    nonnegative with a positive first entry, which keeps its overlap with
+    the top singular vector positive.  Every entry
     of A is nonnegative, so A^T A is entrywise positive on the columns up
     to the last nonzero row and zero beyond them; by Perron-Frobenius the
     top right singular vector is positive on those columns, the first
@@ -332,10 +247,11 @@ def section_norm(
 
     With ritz_vector, `vector` is the absolute value of the top Ritz
     vector cut to its first RITZ_TERMS Lanczos terms, normalized: a start
-    for the next larger nested section.  Building it keeps those Lanczos
-    vectors and changes nothing else.  Non-convergence within MAX_ITER
-    steps is reported through residual >= tol * value; a norm past the
-    double range raises.
+    for the next larger nested section.  Its coefficients are the head of
+    the top eigenvector of B^T B from np.linalg.eigh.  Building it keeps
+    those Lanczos vectors and changes nothing else.  Non-convergence
+    within MAX_ITER steps is reported through residual >= tol * value; a
+    norm past the double range raises.
 
     The work happens in `buffer`, a 1-d float64 array that does not
     overlap start, cut into rows of length op.size from its first entry:
@@ -382,10 +298,11 @@ def section_norm(
     #     r_k = w_in * np.cumsum((w_out * p_k)[::-1])[::-1] - (alpha * alpha) * v,
     # so the buffers change no bit of the result.  Where the Ritz vector is
     # built, v_1, ..., v_RITZ_TERMS stay in `kept`, each in its own row.
+    # B^T B lives in the lower triangle of `tri`, one row longer than
+    # MAX_ITER for the off-diagonal entry the last step writes.
     kept = []
-    diag: list[float] = []
-    off2: list[float] = []
-    alpha = beta = lam = 0.0
+    tri = np.zeros((MAX_ITER + 1, MAX_ITER + 1))
+    alpha = beta = 0.0
     root_prev = None
     sigma = 0.0
     residual = math.inf
@@ -401,15 +318,11 @@ def section_norm(
             np.subtract(t, p, out=t)
         np.multiply(t, t, out=p)
         alpha = math.sqrt(float(np.sum(p)))
-        diag.append(alpha * alpha + beta * beta)
+        tri[k - 1, k - 1] = alpha * alpha + beta * beta
         if k == 1:
-            lam = diag[0]
+            lam = alpha * alpha
         else:
-            # The top eigenvalue of [[lam, e], [e, d]] bounds the new one:
-            # the old block is at most lam times the identity.
-            half = 0.5 * (lam - diag[-1])
-            bound = lam - half + math.sqrt(half * half + off2[-1])
-            lam = _top_eigenvalue(diag, off2, bound)
+            lam = float(np.linalg.eigvalsh(tri[:k, :k])[-1])
         root = math.sqrt(lam)
         try:
             sigma = math.ldexp(root, scale)
@@ -441,12 +354,14 @@ def section_norm(
         np.divide(p, rho, out=v_next)
         v = v_next
         beta = rho / alpha
-        off2.append(rho * rho)
+        tri[k, k - 1] = rho
         p, t = t, p
     vector = None
     if ritz_vector:
+        # The top eigenvector of B^T B, scaled so that its first entry is 1.
+        top = np.linalg.eigh(tri[:k, :k])[1][:, -1]
+        head = top[: len(kept)] / top[0]
         vector = kept[0]
-        head = _ritz_head(diag, off2, lam, len(kept))
         for y, basis in zip(head[1:], kept[1:]):
             np.multiply(basis, y, out=basis)
             np.add(vector, basis, out=vector)
