@@ -573,9 +573,13 @@ def prop1_bound_check(alpha: float, n: int = 4096) -> Prop1Bound:
     prefix_max = float(np.max(lhs_prefix / rhs_prefix))
 
     cutoff = 64 * n
-    tail_idx = np.arange(1, cutoff + 1, dtype=float)
-    weights = tail_idx ** (-(2.0 + alpha) / 2.0)
-    suffix = np.cumsum(weights[::-1])[::-1]
+    # The suffix sums of k^(-(2+alpha)/2) over k <= 64 n, in one array:
+    # the indices become their weights in place, and the reversed cumsum
+    # writes each suffix over its weight, in the same order of additions
+    # as a separate reversed copy would.
+    suffix = np.arange(1, cutoff + 1, dtype=float)
+    suffix **= -(2.0 + alpha) / 2.0
+    np.cumsum(suffix[::-1], out=suffix[::-1])
     remainder = (2.0 / alpha) * (cutoff + 1.0) ** (-alpha / 2.0)
     lhs_suffix = idx ** (alpha / 2.0) * (suffix[: n + 1] + remainder)
     suffix_max = float(np.max(lhs_suffix)) / ((2.0 + alpha) / alpha)

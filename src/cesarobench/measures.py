@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as _sp
@@ -248,21 +248,44 @@ _SERIES_DELTA_MAX = 64
 
 
 def tail_values(m: Measure, ts) -> np.ndarray:
-    """mu([t,1)) for an array of thresholds t in [0,1); vectorized."""
+    """mu([t,1)) for an array of thresholds t in [0,1); vectorized.
+
+    The atoms' steps are summed first, then each density's tail is added
+    in term order (_add_density_tails); a 0-d threshold gives a 0-d array.
+    """
     ts = np.asarray(ts, dtype=float)
     # Written so that a NaN threshold fails the check as well.
     if not np.all((ts >= 0.0) & (ts < 1.0)):
         raise ValueError("tail threshold must lie in [0,1)")
-    out = np.zeros_like(ts)
+    out = np.zeros_like(ts) if m.atoms or not m.densities else None
     for t0, mass in m.atoms:
         out += np.where(t0 >= ts, mass, 0.0)
-    for c, gamma, delta in m.densities:
+    return _add_density_tails(m.densities, ts, out)
+
+
+def _add_density_tails(densities, ts: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Add each density's tail mu([t,1)) at the thresholds ts into out.
+
+    ts must already be a float array in [0,1).  Each term is formed in one
+    scratch array by in-place ufuncs (Horner's polynomial in one more), in
+    the order of the plain expressions ((c (1-t)^a) / a) poly and
+    (c full) betainc, so it has their bits.
+    With out None the first term becomes the sum: every term is >= +0, so
+    it equals 0 + term exactly.
+    """
+    scratch = horner = None
+    for c, gamma, delta in densities:
+        if out is None:
+            term = np.empty_like(ts)
+        else:
+            term = scratch = np.empty_like(ts) if scratch is None else scratch
         # The errors quoted here are against mpmath at this float a.  A
         # gamma whose sum with 1 rounds adds about |ln(1 - t)| ulp(a)
         # relative, since (1 - t)^a moves by that much: against the exact
         # gamma, over np.linspace(-0.9, 2.5, 18) and t up to 1 - 2^-52, the
         # worst was 4.3e-15.
         a = gamma + 1.0
+        np.subtract(1.0, ts, out=term)
         if float(delta).is_integer() and delta <= _SERIES_DELTA_MAX:
             # For integer delta = d, DLMF 8.17(iv) gives int_t^1 (1-u)^gamma
             # u^d du = ((1-t)^a / a) sum_{j<=d} e_j t^j, e_d = a/(a+d) and
@@ -272,11 +295,17 @@ def tail_values(m: Measure, ts) -> np.ndarray:
             p, q = a.as_integer_ratio()
             num, den = p, p + int(delta) * q
             poly = num / den
+            if delta and horner is None:
+                horner = np.empty_like(ts)
             for j in range(int(delta) - 1, -1, -1):
                 num *= (j + 1) * q
                 den *= p + j * q
-                poly = poly * ts + num / den
-            out += c * (1.0 - ts) ** a / a * poly
+                poly = np.multiply(poly, ts, out=horner)
+                poly += num / den
+            term **= a
+            term *= c
+            term /= a
+            term *= poly
         else:
             # B(delta+1, a) I_{1-t}(a, delta+1), the mirrored complement of
             # I_t(delta+1, a) (DLMF 8.17.4), about 8x faster than betaincc;
@@ -284,7 +313,12 @@ def tail_values(m: Measure, ts) -> np.ndarray:
             # gamma in [-0.9, 2.5], delta in {0.5, 1, 3} and t up to
             # 1 - 2^-52, the worst relative error was 5.2e-15.
             full = math.exp(_sp.betaln(delta + 1.0, a))
-            out += c * full * _sp.betainc(a, delta + 1.0, 1.0 - ts)
+            _sp.betainc(a, delta + 1.0, term, term)  # in place: out = term
+            term *= c * full
+        if out is None:
+            out = term
+        else:
+            out += term
     return out
 
 
@@ -390,9 +424,13 @@ def moment_by_parts(m: Measure, n: int) -> float:
     j = 1.._PANEL_DEPTH, built once at import.  Each atom adds the area
     mass * t0^n of its step in u in closed form, as moment() does, so the
     densities' quadrature alone is an independent cross-check of moment().
-    Accurate to 1e-7 relative up to n = BY_PARTS_N_MAX = 2^32; a larger n
-    raises ValueError, since there u^{1/n} rounds near 1 and 1 - t carries
-    about 1e-16 / (1 - t) relative error.
+    The density tails at the nodes come from the same term loop as
+    tail_values (_add_density_tails), on m.densities directly: no Measure
+    is rebuilt and no threshold is re-checked, since u^{1/n} clamped below
+    1.0 lies in [0, 1) by construction.  Accurate to 1e-7 relative up to
+    n = BY_PARTS_N_MAX = 2^32; a larger n raises ValueError, since there
+    u^{1/n} rounds near 1 and 1 - t carries about 1e-16 / (1 - t)
+    relative error.
     """
     if not 1 <= n <= BY_PARTS_N_MAX:
         raise ValueError(
@@ -403,6 +441,8 @@ def moment_by_parts(m: Measure, n: int) -> float:
         return float(steps)
     # Nodes near u = 1 can round t up to 1.0 exactly; keep them strictly
     # inside the domain of the tail.
-    ts = np.minimum(_U_NODES ** (1.0 / n), np.nextafter(1.0, 0.0))
-    tails = tail_values(replace(m, atoms=()) if m.atoms else m, ts)
-    return float(steps + np.sum(_U_WEIGHTS * tails))
+    ts = np.power(_U_NODES, 1.0 / n)
+    np.minimum(ts, np.nextafter(1.0, 0.0), out=ts)
+    tails = _add_density_tails(m.densities, ts, None)
+    tails *= _U_WEIGHTS
+    return float(steps + np.sum(tails))

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from cesarobench import measures
 from cesarobench.analysis import MOMENT_GRID
@@ -283,6 +283,81 @@ class TestTail:
             tail_values(Measure.lebesgue(), [0.5, math.nan])
 
 
+def _tail_reference(m: Measure, ts) -> np.ndarray:
+    """tail_values as one allocating expression per term, in the order of
+    operations tail_values keeps: ((c (1-t)^a) / a) poly and
+    (c full) betainc, summed from zeros, atoms first."""
+    ts = np.asarray(ts, dtype=float)
+    out = np.zeros_like(ts)
+    for t0, mass in m.atoms:
+        out += np.where(t0 >= ts, mass, 0.0)
+    for c, gamma, delta in m.densities:
+        a = gamma + 1.0
+        if float(delta).is_integer() and delta <= measures._SERIES_DELTA_MAX:
+            p, q = a.as_integer_ratio()
+            num, den = p, p + int(delta) * q
+            poly = num / den
+            for j in range(int(delta) - 1, -1, -1):
+                num *= (j + 1) * q
+                den *= p + j * q
+                poly = poly * ts + num / den
+            out += c * (1.0 - ts) ** a / a * poly
+        else:
+            full = math.exp(special.betaln(delta + 1.0, a))
+            out += c * full * special.betainc(a, delta + 1.0, 1.0 - ts)
+    return out
+
+
+class TestTailInPlace:
+    """tail_values forms each term in place, with the bits of the plain
+    one-expression formula, on every route and threshold shape."""
+
+    DELTAS = (0.0, 1.0, 3.0, 64.0, 65.0, 0.5)
+    # gamma = -0.5 and 1.0 make a = 0.5 and 2.0, the exponents that numpy
+    # may route to sqrt and square.
+    GAMMAS = (-0.9, -0.5, 0.0, 0.25, 1.0, 2.5)
+    THRESHOLDS = (
+        np.asarray(0.25),
+        np.asarray(0.0),
+        np.array([0.0, 1e-8, 0.3, 0.5, 0.9, 0.999, 1 - 2.0**-30, 1 - 2.0**-52]),
+        np.linspace(0.0, 1.0 - 2.0**-40, 48).reshape(6, 8),
+    )
+
+    @staticmethod
+    def _assert_same_bits(got, want, label):
+        assert type(got) is type(want) and got.shape == want.shape, label
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), label
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_matches_the_one_expression_formula(self, delta):
+        atoms = ((0.3, 0.7), (0.9, 0.25))
+        for gamma in self.GAMMAS:
+            density = (1.7, gamma, delta)
+            for m in (
+                Measure(densities=(density,)),
+                Measure(atoms=atoms, densities=(density,)),
+                Measure(densities=(density, (0.5, 0.5, 1.0), (2.0, -0.25, 2.5))),
+                Measure(atoms=atoms, densities=((0.5, 0.5, 1.0), density)),
+            ):
+                for ts in self.THRESHOLDS:
+                    label = (format_measure(m), ts.shape)
+                    self._assert_same_bits(tail_values(m, ts), _tail_reference(m, ts), label)
+
+    def test_scalar_threshold_and_measures_without_densities(self):
+        got = tail_values(Measure.lebesgue(), 0.25)
+        assert isinstance(got, np.ndarray) and got.shape == () and got == 0.75
+        for m in (Measure(), Measure.atom(0.5, 2.0)):
+            for ts in self.THRESHOLDS:
+                label = (format_measure(m), ts.shape)
+                self._assert_same_bits(tail_values(m, ts), _tail_reference(m, ts), label)
+
+    def test_inputs_are_left_unchanged(self):
+        ts = np.linspace(0.0, 0.99, 64)
+        before = ts.copy()
+        tail_values(parse_measure("atom(0.5,1)+powlaw(c=1,gamma=0.5,delta=3)"), ts)
+        assert np.array_equal(ts, before)
+
+
 class TestMoment:
     def test_lebesgue_identity(self):
         leb = Measure.lebesgue()
@@ -464,6 +539,27 @@ class TestMomentByPartsClosedForm:
                     ) + sum(_exact_moment(c, g, d, n) for c, g, d in m.densities)
                     rel = abs((mpmath.mpf(moment_by_parts(m, n)) - exact) / exact)
                 assert rel <= 1e-7, (format_measure(m), n, float(rel))
+
+
+class TestMomentByPartsAllocation:
+    def test_mixture_builds_no_measure(self, monkeypatch):
+        # The densities' tails are read from m.densities directly: no
+        # Measure is rebuilt, so Measure.__post_init__ (and its betaln)
+        # never runs.
+        m = parse_measure("atom(0.9,0.25)+powlaw(c=0.5,gamma=0.5,delta=1)+lebesgue")
+        want = [moment_by_parts(m, n) for n in (1, 7, 1 << 20)]
+        calls = []
+        original = Measure.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(Measure, "__post_init__", counting)
+        assert [moment_by_parts(m, n) for n in (1, 7, 1 << 20)] == want
+        assert calls == []
+        Measure.lebesgue()
+        assert len(calls) == 1
 
 
 class TestMomentsAtAtoms:

@@ -695,7 +695,9 @@ def test_reports_ignore_blas_threads(tmp_path):
     # LAPACK solves on the k x k tridiagonal of a Lanczos run (k <=
     # MAX_ITER; eigvalsh at each step, eigh for the Ritz vector) must give
     # the same bytes under both thread counts too; every norm in the
-    # reports goes through them.
+    # reports goes through them.  The paper checks print too:
+    # est_ratio_check reduces its 60,000-term series with BLAS np.dot, and
+    # prop1_bound_check runs a section norm and a 64 n suffix sweep.
     config = tmp_path / "panel.ini"
     config.write_text(
         "[panel]\n"
@@ -709,6 +711,7 @@ def test_reports_ignore_blas_threads(tmp_path):
     )
     script = (
         "import sys\n"
+        "from cesarobench.analysis import est_ratio_check, prop1_bound_check\n"
         "from cesarobench.cli import main\n"
         "from cesarobench.measures import moment_by_parts, parse_measure\n"
         "from cesarobench.operators import SectionOp, section_norm\n"
@@ -721,6 +724,8 @@ def test_reports_ignore_blas_threads(tmp_path):
         "print(repr(float(f.coeffs[0])))\n"
         "mix = parse_measure('atom(0.9,0.25) + powlaw(c=0.5, gamma=0.5, delta=1.0)')\n"
         "print(repr(moment_by_parts(mix, 1 << 20)))\n"
+        "print(repr(est_ratio_check(1.0, [0.3, 0.9, 0.999], 60000)))\n"
+        "print(repr(prop1_bound_check(0.9)))\n"
     )
     src = str(Path(cesarobench.__file__).resolve().parent.parent)
     outputs = []
