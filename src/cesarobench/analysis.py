@@ -11,9 +11,10 @@ with critical exponent s = 1 + (alpha - beta)/2:
 each reduced to a verdict (bounded / vanishing / unbounded / inconclusive)
 by one trend rule: the slope of the log-ratio over the deepest half of its
 grid.  Boundedness is the three engines agreeing on bounded-or-vanishing;
-compactness adds a fourth engine that tracks tail-operator norms with the
-same trend rule.  Agreement is read from the verdicts; it is the property
-under empirical test, and a disagreement is a falsification event.
+compactness adds a fourth engine that tracks the Hardy constants of tail
+operators, which bracket their norms, with the same trend rule.  Agreement
+is read from the verdicts; it is the property under empirical test, and a
+disagreement is a falsification event.
 
 Decision constants are frozen from calibration runs documented alongside
 each constant, on the fixed grids beside them.  The only settable budgets,
@@ -38,6 +39,7 @@ from .measures import Measure, dyadic_grid, format_measure, moments_at, tail_val
 from .operators import (
     TOL,
     SectionOp,
+    hardy_constant,
     norm_growth_profile,
     section_norm,
     tail_section,
@@ -94,11 +96,14 @@ NORM_DEADBAND = 0.08
 # NORM_DEADBAND was set on.
 NORM_SIZES = tuple(1 << k for k in range(6, 18))
 
-# Compactness thresholds, calibrated at section size 8192 with truncation
-# points 16..512 (keeping M <= N/16; larger M lets the section window
-# strangle the tail operator and fakes decay).  Observed tail-norm slopes:
-# not-compact critical measures in [-0.106, -0.059] with last tail/full
-# ratio >= 0.70; compact measures <= -0.221 with ratio <= 0.26.  The two
+# Compactness thresholds, calibrated on Lanczos tail norms at section size
+# 8192 with truncation points 16..512 (keeping M <= N/16; larger M lets the
+# section window strangle the tail operator and fakes decay).  Observed
+# slopes: not-compact critical measures in [-0.106, -0.059] with last
+# tail/full ratio >= 0.70; compact measures <= -0.221 with ratio <= 0.26.
+# The engine reads Hardy constants on the same thresholds, untuned: their
+# slopes lie in [-0.045, -0.007] and <= -0.208, and the thinnest level
+# margin is 0.415 against 0.4 (mix_atom_crit at (1.5, 0.5)).  The two
 # thresholds sit between those clusters, and both signals must agree.
 COMPACT_SLOPE_THRESHOLD = -0.15
 COMPACT_LEVEL_THRESHOLD = 0.4
@@ -277,29 +282,25 @@ def classify_boundedness(
     return Verdict("norm", status, evidence, slope, stderr)
 
 
-def classify_compactness(
-    m: Measure,
-    alpha: float,
-    beta: float,
-    tol: float = TOL,
-) -> Verdict:
-    """Tail-operator engine: norms of the rows-above-M remainder on the
-    size-COMPACT_SIZE section, for M in COMPACT_TRUNCATIONS.
+def classify_compactness(m: Measure, alpha: float, beta: float) -> Verdict:
+    """Tail-operator engine: Hardy constants B_M of the rows-above-M
+    remainder of the size-COMPACT_SIZE section, for M in
+    COMPACT_TRUNCATIONS, against B of the whole section.
 
+    Each B brackets its section's norm, B <= norm <= 2B, and a Hardy
+    operator is compact exactly when the constant of its tail tends to 0
+    (Opic and Kufner 1990), which is the paper's mu_n = o(n^-s).
     Compactness presumes boundedness, which check_equivalence's gate
     ensures; this engine does not check it.  The verdict needs both
-    signals from the calibration note on the thresholds: decaying tail-norm
+    signals from the calibration note on the thresholds: decaying tail
     slope and a small final tail/full level for compact; shallow slope and
     a high level for not compact; mixed or boundary-grazing signals are
     inconclusive.  Tails of any size are fitted; only exactly zero ones,
     from underflowed moments, skip the fit.
     """
     op = SectionOp(m, SpaceIndex(alpha), SpaceIndex(beta), COMPACT_SIZE)
-    full = section_norm(op, tol=tol).value
-    tails = [
-        section_norm(tail_section(op, mm), tol=tol).value
-        for mm in COMPACT_TRUNCATIONS
-    ]
+    full = hardy_constant(op)
+    tails = [hardy_constant(tail_section(op, mm)) for mm in COMPACT_TRUNCATIONS]
     evidence = tuple((float(mm), v) for mm, v in zip(COMPACT_TRUNCATIONS, tails))
 
     slope, stderr = _trend([math.log(mm) for mm in COMPACT_TRUNCATIONS], tails)
@@ -370,7 +371,8 @@ def check_equivalence(
     tol: float = TOL,
 ) -> EquivalenceReport:
     """Run the boundedness engines on one (measure, pair) entry, and the
-    compactness engine where they agree and the norm engine says bounded."""
+    compactness engine where they agree and the norm engine says bounded;
+    sizes and tol steer the norm engine alone."""
     s = carleson_exponent(alpha, beta)
     verdicts = {
         "carleson": classify_carleson(m, s),
@@ -380,7 +382,7 @@ def check_equivalence(
     report = EquivalenceReport(format_measure(m), alpha, beta, s, verdicts)
     if not (report.boundedness_agree and verdicts["norm"].status == "bounded"):
         return report
-    compactness = classify_compactness(m, alpha, beta, tol)
+    compactness = classify_compactness(m, alpha, beta)
     return replace(report, verdicts={**verdicts, "compactness": compactness})
 
 

@@ -26,7 +26,8 @@ Iteration stops once two successive Ritz values differ by less than the
 requested relative tolerance (TOL by default) or after MAX_ITER steps.  A
 norm profile reads prefixes of its largest section's moments and weights,
 and starts each size from the previous size's top Ritz vector, since
-nested sections have nearly the same top singular vector.
+nested sections have nearly the same top singular vector.  hardy_constant
+brackets a norm from two prefix sums: B <= norm <= 2B.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "apply",
     "tail_section",
     "section_norm",
+    "hardy_constant",
     "norm_growth_profile",
     "MAX_ITER",
     "TOL",
@@ -369,6 +371,31 @@ def section_norm(
         np.multiply(vector, vector, out=t)
         vector = np.divide(vector, math.sqrt(float(np.sum(t))))
     return OpNormEstimate(sigma, k, residual, vector)
+
+
+def hardy_constant(op: SectionOp) -> float:
+    """Muckenhoupt's constant B of the section, a weighted discrete Hardy
+    operator: B^2 = max over m >= first_row of (sum_{k<=m} w_in_k^2)
+    (sum_{n>=m} w_row_n^2), and B <= norm <= 2B (Muckenhoupt 1972; Kufner
+    and Persson 2003).  Two prefix sums on the row weights in their own
+    power-of-two frame, as in section_norm, keep a tail near 1e-179
+    positive; a B past the double range raises.
+    """
+    w_in, w_row = op.weights
+    peak = float(np.max(w_row[op.first_row :], initial=0.0))
+    if peak == 0.0:
+        return 0.0
+    too_big = f"size-{op.size} Hardy constant exceeds the double range"
+    if not math.isfinite(peak):
+        raise ValueError(too_big)
+    scale = math.frexp(peak)[1] - 1
+    tail = np.square(np.ldexp(w_row[op.first_row :], -scale))
+    np.cumsum(tail[::-1], out=tail[::-1])
+    np.multiply(np.cumsum(np.square(w_in))[op.first_row :], tail, out=tail)
+    try:
+        return math.ldexp(math.sqrt(float(np.max(tail))), scale)
+    except OverflowError:
+        raise ValueError(too_big) from None
 
 
 def norm_growth_profile(

@@ -41,7 +41,7 @@ from cesarobench.analysis import (
     reports_to_json,
 )
 from cesarobench.measures import Measure, parse_measure
-from cesarobench.operators import SectionOp, section_norm
+from cesarobench.operators import SectionOp, hardy_constant, section_norm, tail_section
 from cesarobench.spaces import SpaceIndex
 
 LEBESGUE = parse_measure("lebesgue")
@@ -266,6 +266,24 @@ class TestClassifyCompactness:
         assert v.fitted_slope < COMPACT_SLOPE_THRESHOLD
         assert all(tail > 0.0 for _, tail in v.evidence)
 
+    def test_tail_in_its_own_frame(self) -> None:
+        # The M = 256 tail, near 3.8e-179, squares to zero in the full
+        # section's frame (peak mu_0 = 1), so only its own frame keeps B
+        # positive; past M = 512 the moments underflow to exactly zero.
+        m = parse_measure("atom(0.2,1.0)")
+        op = SectionOp(m, SpaceIndex(1.0), SpaceIndex(1.0), COMPACT_SIZE)
+        tail = tail_section(op, 256)
+        bound = hardy_constant(tail)
+        assert 0.0 < bound < 1e-170
+        value = section_norm(tail).value
+        assert bound * (1 - 1e-12) <= value <= 2 * bound * (1 + 1e-12)
+        assert hardy_constant(tail_section(op, 512)) == 0.0
+        v = classify_compactness(m, 1.0, 1.0)
+        assert dict(v.evidence)[256.0] == bound
+        assert dict(v.evidence)[512.0] == 0.0
+        assert v.fitted_slope == -math.inf
+        assert v.status == "vanishing"
+
     def test_small_critical_part_not_compact(self) -> None:
         # The critical density makes the operator bounded but not compact,
         # however small its weight; its tails dwarf the atom's, and no
@@ -416,8 +434,11 @@ class TestResolution:
     lines in CHANGES.md describe both outcomes as known defects: a norm
     slope inside NORM_DEADBAND reads as bounded and prints DISAGREE, and
     below DEADBAND every engine reads bounded and the entry agrees on a
-    wrong verdict.  A change that moves any status pinned here must say so
-    in CHANGES.md.
+    wrong verdict.  On the compact side, Lebesgue measure at (1 - d, 1 + d)
+    and powlaw(c=1, gamma=0.5+e, delta=0) at (1.5, 0.5) are compact by the
+    paper for every d, e > 0, but the compactness engine reads not compact
+    up to d = 0.1 and e = 0.1.  A change that moves any status pinned here
+    must say so in CHANGES.md.
     """
 
     @pytest.mark.parametrize("alpha, beta", [(1.03, 0.97), (1.06, 0.94)])
@@ -440,6 +461,24 @@ class TestResolution:
             "compactness": "not_compact",
         }
         assert rep.ok
+
+    @pytest.mark.parametrize(
+        "measure, alpha, beta, kind",
+        [
+            ("lebesgue", 0.95, 1.05, "not_compact"),
+            ("lebesgue", 0.9, 1.1, "not_compact"),
+            ("lebesgue", 0.85, 1.15, "compact"),
+            ("powlaw(c=1, gamma=0.6, delta=0)", 1.5, 0.5, "not_compact"),
+            ("powlaw(c=1, gamma=0.65, delta=0)", 1.5, 0.5, "compact"),
+        ],
+    )
+    def test_compactness_edge(
+        self, measure: str, alpha: float, beta: float, kind: str
+    ) -> None:
+        # Hardy-constant slopes -0.066, -0.113, -0.161, -0.104 and -0.153
+        # against COMPACT_SLOPE_THRESHOLD = -0.15.
+        v = classify_compactness(parse_measure(measure), alpha, beta)
+        assert v.kind == kind
 
 
 PANEL_ENTRIES = [

@@ -23,6 +23,7 @@ from cesarobench.operators import (
     OpNormEstimate,
     SectionOp,
     apply,
+    hardy_constant,
     norm_growth_profile,
     section_norm,
     tail_section,
@@ -143,15 +144,6 @@ def three_panel_entries(pairs):
         pairs=pairs,
     )
     return build_panel(config)
-
-
-def hardy_lower_bound(op: SectionOp) -> float:
-    """B = max_m sqrt(sum_{k<=m} w_in_k^2 * sum_{n>=m} w_out_n^2) <= ||A||,
-    from the weights written out rather than taken from operators."""
-    w_in, w_out = conjugation_weights(op)
-    head = np.cumsum(w_in * w_in)
-    tail = np.cumsum((w_out * w_out)[::-1])[::-1]
-    return math.sqrt(float(np.max(head * tail)))
 
 
 class TestSectionOp:
@@ -535,6 +527,43 @@ class TestSectionNorm:
             reorthogonalized_top_value(op, est.iterations), rel=1e-12, abs=0.0)
 
 
+class TestHardyConstant:
+    """Muckenhoupt's B brackets the norm: B <= norm <= 2B."""
+
+    def test_brackets_the_lanczos_norm(self):
+        # Every default-panel section at N = 64, 512 and 8192, and every
+        # compactness tail; value / B lies in [1.00003, 1.76] there.
+        for name, m, a, b in build_panel(default_config()):
+            big = SectionOp(m, SpaceIndex(a), SpaceIndex(b), COMPACT_SIZE)
+            ops = [replace(big, size=n) for n in (64, 512)] + [big]
+            ops += [tail_section(big, mm) for mm in COMPACT_TRUNCATIONS]
+            for op in ops:
+                bound = hardy_constant(op)
+                value = section_norm(op).value
+                where = (name, a, b, op.size, op.first_row)
+                assert bound * (1 - 1e-12) <= value <= 2 * bound * (1 + 1e-12), where
+
+    def test_equals_the_formula_written_out(self):
+        for name, m, a, b in three_panel_entries(((1.0, 1.0), (0.5, 1.5))):
+            op = SectionOp(m, SpaceIndex(a), SpaceIndex(b), 64)
+            for section in (op, tail_section(op, 17)):
+                w_in, w_out = conjugation_weights(section)
+                want = math.sqrt(max(
+                    math.fsum(w_in[: k + 1] ** 2) * math.fsum(w_out[k:] ** 2)
+                    for k in range(op.size)
+                ))
+                got = hardy_constant(section)
+                assert got == pytest.approx(want, rel=1e-13), (name, a, section.first_row)
+
+    def test_zero_section_and_overflow(self):
+        origin = tail_section(SectionOp(Measure.atom(0.0, 1.0), S1, S1, 32), 0)
+        assert hardy_constant(origin) == 0.0
+        huge = parse_measure("atom(0.99999,1.7e308)")
+        op = SectionOp(huge, S1, SpaceIndex(0.1), 16)
+        with pytest.raises(ValueError, match="double range"):
+            hardy_constant(op)
+
+
 class TestLostOrthogonality:
     """The three-term recurrence does not reorthogonalize, and its basis
     loses orthogonality once the top value converges (Paige 1971).  The
@@ -625,10 +654,10 @@ class TestGrowthProfile:
                 op = SectionOp(m, alpha, beta, n)
                 warm_iterations += est.iterations
                 cold_iterations += section_norm(op).iterations
-                assert est.value >= hardy_lower_bound(op) * (1 - 1e-12), (name, a, n)
+                assert est.value >= hardy_constant(op) * (1 - 1e-12), (name, a, n)
             for n, est in norm_growth_profile(m, alpha, beta, [64, 128, 256, 512]):
                 op = SectionOp(m, alpha, beta, n)
-                assert est.value >= hardy_lower_bound(op) * (1 - 1e-12), (name, a, n)
+                assert est.value >= hardy_constant(op) * (1 - 1e-12), (name, a, n)
                 assert est.value == pytest.approx(dense_norm(op), rel=1e-8), (name, a, n)
         # Every one of the six takes fewer warm steps than cold ones; all
         # six take 170 against 229.
