@@ -18,23 +18,21 @@ from one float block, four of them or seven where it builds a Ritz
 vector, and a norm profile runs all its sizes in one block: freeing one
 large block keeps glibc from handing the profile's megabyte arrays back
 to the kernel, whose fresh zeroed pages cost about 15 % of a profile (see
-the comment in norm_growth_profile).  It runs on the row weights divided
-by the power of two that brings their maximum into [1, 2); that is
-exact, and keeps tails near 1e-154 from underflowing and masses near
-1e300 from overflowing.
+the comment in norm_growth_profile).  It runs on the row weights in
+their power-of-two frame, which _frame describes.
 Iteration stops once two successive Ritz values differ by less than the
 requested relative tolerance (TOL by default) or after MAX_ITER steps.  A
 norm profile reads prefixes of its largest section's moments and weights,
 and starts each size from the previous size's top Ritz vector, since
 nested sections have nearly the same top singular vector.  hardy_constant
-brackets a norm from two prefix sums: B <= norm <= 2B.
+brackets a norm from two prefix sums in the same frame: B <= norm <= 2B.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -53,8 +51,9 @@ __all__ = [
     "TOL",
 ]
 
-# Lanczos steps before section_norm stops and reports its residual.  One
-# pass of the full default panel needs at most 9 at TOL and 12 at 1e-15.
+# Lanczos steps before section_norm stops and reports its residual.  The
+# norm engine's 480 sections on the full default panel need at most 8 at
+# TOL and 11 at 1e-15.
 # A tol below the rounding unit (1e-16, 1e-300) is met only by two
 # successive values equal to the last bit, and LAPACK's value moves in its
 # last bits from one step to the next, so there a pass needs up to 31; 40
@@ -77,7 +76,8 @@ class SectionOp:
 
     A full section has first_row == 0; the tail operator that remains
     after truncating at row m starts at row m + 1 (see tail_section).
-    alpha and beta must lie in (0, 2), the range of the characterizations.
+    alpha and beta must lie in (0, 2), the range of the characterizations,
+    and size must be a positive integer.
 
     `moments` holds mu_0, ..., mu_{size-1} and `weights` the pair
     (w_in, w_row) of column weights (k+1)^(-(1-alpha)/2) and row weights
@@ -99,8 +99,7 @@ class SectionOp:
     def __post_init__(self) -> None:
         require_index(self.alpha.alpha, "alpha")
         require_index(self.beta.alpha, "beta")
-        if self.size < 1:
-            raise ValueError("section size must be positive")
+        object.__setattr__(self, "size", _size(self.size))
         if not 0 <= self.first_row <= self.size:
             raise ValueError(
                 f"first row {self.first_row} out of range [0, {self.size}]"
@@ -119,6 +118,13 @@ class SectionOp:
         weights = (_prefix(w_in, self.size, "w_in"), _prefix(w_row, self.size, "w_row"))
         object.__setattr__(self, "moments", moments)
         object.__setattr__(self, "weights", weights)
+
+
+def _size(value) -> int:
+    """A section size as an int; ValueError unless a positive integer."""
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"section size must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _prefix(values, size: int, name: str) -> np.ndarray:
@@ -186,6 +192,41 @@ def tail_section(op: SectionOp, m: int) -> SectionOp:
     return replace(op, first_row=max(op.first_row, m + 1))
 
 
+def _frame(op: SectionOp, row: np.ndarray, what: str) -> Callable[[float], float] | None:
+    """The power-of-two frame of a section, shared by section_norm and
+    hardy_constant.
+
+    Writes into `row`, of length op.size, the row weights divided by the
+    power of two 2^scale that brings their largest entry into [1, 2), and
+    zeros below first_row; returns the exact scale-back x -> x * 2^scale,
+    or None for an all-zero section.  Dividing by a power of two is exact,
+    and it keeps tails near 1e-154 from underflowing in their squares and
+    masses near 1e300 from overflowing.  The zero rows leave every suffix
+    sum exact and raise no maximum, so a caller may run over the whole row.
+    w_in[0] = 1, so the norm and B are at least the largest row weight: an
+    infinite one raises ValueError, as does a scale-back past the double
+    range, which is exact unless it underflows.
+    """
+    too_big = f"size-{op.size} {what} exceeds the double range"
+    w_row = op.weights[1][op.first_row :]
+    peak = float(np.max(w_row, initial=0.0))
+    if peak == 0.0:
+        return None
+    if not math.isfinite(peak):
+        raise ValueError(too_big)
+    scale = math.frexp(peak)[1] - 1
+    row[: op.first_row] = 0.0
+    np.ldexp(w_row, -scale, out=row[op.first_row :])
+
+    def scale_back(x: float) -> float:
+        try:
+            return math.ldexp(x, scale)
+        except OverflowError:
+            raise ValueError(too_big) from None
+
+    return scale_back
+
+
 def _start_vector(start, v: np.ndarray, squares: np.ndarray) -> None:
     """Write into v the unit copy of start, extended to v's length by
     repeating its last entry; squares, as long as v, is scratch."""
@@ -221,19 +262,20 @@ def section_norm(
     v_{k+1} = r / beta_k).  The value after step k is the square root of
     the largest eigenvalue of the k x k tridiagonal B^T B (diagonal
     alpha_i^2 + beta_{i-1}^2, off-diagonal alpha_i beta_i), the best
-    Rayleigh quotient of A^T A over the Krylov space of v_1.  Past step 1,
-    whose value is alpha_1, that eigenvalue comes from LAPACK through
-    np.linalg.eigvalsh on the lower triangle of B^T B.  Iteration stops
-    when two successive values differ by less than tol times the later
-    one, or after MAX_ITER steps; a step whose alpha or beta is exactly
-    zero closes the Krylov space and stops with residual 0.0.
+    Rayleigh quotient of A^T A over the Krylov space of v_1.  At every
+    step that eigenvalue comes from LAPACK through np.linalg.eigvalsh on
+    the lower triangle of B^T B; at step 1 it is alpha_1^2 exactly.
+    Iteration stops when two successive values differ by less than tol
+    times the later one, or after MAX_ITER steps; a step whose alpha or
+    beta is exactly zero closes the Krylov space and stops with residual
+    0.0.
     The three-term recurrence does not reorthogonalize: its basis loses
     orthogonality once the top value converges (Paige 1971), which
     leaves that value in place.
 
     It reads the section's column weights in place and copies its row
-    weights once, zero below first_row and in the power-of-two frame; each
-    value is scaled back exactly.  Every reduction is np.sum, which, unlike
+    weights once, into the frame of _frame, from which each value is
+    scaled back exactly.  Every reduction is np.sum, which, unlike
     the BLAS dot behind np.dot and np.linalg.norm, adds in an order that
     does not depend on the BLAS thread count; the LAPACK solve, at most
     MAX_ITER x MAX_ITER, gives the same bytes under 1 and 2 BLAS threads
@@ -278,18 +320,10 @@ def section_norm(
     w_out, p, t, v, *spare = buffer[:length].reshape(-1, op.size)
     _start_vector(start, v, t)
 
-    w_in, w_row = op.weights
-    peak = float(np.max(w_row[op.first_row :], initial=0.0))
-    if peak == 0.0:
+    scale_back = _frame(op, w_out, "section norm")
+    if scale_back is None:
         return OpNormEstimate(0.0, 0, 0.0, v.copy())
-    too_big = f"size-{op.size} section norm exceeds the double range"
-    # w_in[0] = 1, so the norm is at least the largest row weight.  Values
-    # scale back by 2^scale in one ldexp, which raises only on overflow.
-    if not math.isfinite(peak):
-        raise ValueError(too_big)
-    scale = math.frexp(peak)[1] - 1
-    w_out[: op.first_row] = 0.0
-    np.ldexp(w_row[op.first_row :], -scale, out=w_out[op.first_row :])
+    w_in = op.weights[0]
     # The recurrence keeps v_k unit and p_k = alpha_k u_k unnormalized, so
     # only v is divided.  t receives A v_k, then p_k; p holds p_{k-1}, then
     # the squares of p_k, then A^T p_k and r_k = alpha_k (A^T u_k - alpha_k
@@ -306,7 +340,6 @@ def section_norm(
     tri = np.zeros((MAX_ITER + 1, MAX_ITER + 1))
     alpha = beta = 0.0
     root_prev = None
-    sigma = 0.0
     residual = math.inf
     for k in range(1, MAX_ITER + 1):
         keep = ritz_vector and k <= RITZ_TERMS
@@ -321,20 +354,14 @@ def section_norm(
         np.multiply(t, t, out=p)
         alpha = math.sqrt(float(np.sum(p)))
         tri[k - 1, k - 1] = alpha * alpha + beta * beta
-        if k == 1:
-            lam = alpha * alpha
-        else:
-            lam = float(np.linalg.eigvalsh(tri[:k, :k])[-1])
-        root = math.sqrt(lam)
-        try:
-            sigma = math.ldexp(root, scale)
-        except OverflowError:
-            raise ValueError(too_big) from None
+        root = math.sqrt(float(np.linalg.eigvalsh(tri[:k, :k])[-1]))
+        sigma = scale_back(root)
         # The stop is tested in the frame, where tol * value cannot
-        # underflow; scaling the gap back is exact unless it underflows.
+        # underflow; the gap is below the larger of two values that scaled
+        # back, so it scales back too.
         if root_prev is not None:
             gap = abs(root - root_prev)
-            residual = math.ldexp(gap, scale)
+            residual = scale_back(gap)
             if gap < tol * root:
                 break
         root_prev = root
@@ -377,25 +404,18 @@ def hardy_constant(op: SectionOp) -> float:
     """Muckenhoupt's constant B of the section, a weighted discrete Hardy
     operator: B^2 = max over m >= first_row of (sum_{k<=m} w_in_k^2)
     (sum_{n>=m} w_row_n^2), and B <= norm <= 2B (Muckenhoupt 1972; Kufner
-    and Persson 2003).  Two prefix sums on the row weights in their own
-    power-of-two frame, as in section_norm, keep a tail near 1e-179
-    positive; a B past the double range raises.
+    and Persson 2003).  Two prefix sums over the whole row that _frame
+    writes, whose frame keeps a tail near 1e-179 positive; a B past the
+    double range raises.
     """
-    w_in, w_row = op.weights
-    peak = float(np.max(w_row[op.first_row :], initial=0.0))
-    if peak == 0.0:
+    tail = np.empty(op.size)
+    scale_back = _frame(op, tail, "Hardy constant")
+    if scale_back is None:
         return 0.0
-    too_big = f"size-{op.size} Hardy constant exceeds the double range"
-    if not math.isfinite(peak):
-        raise ValueError(too_big)
-    scale = math.frexp(peak)[1] - 1
-    tail = np.square(np.ldexp(w_row[op.first_row :], -scale))
+    np.square(tail, out=tail)
     np.cumsum(tail[::-1], out=tail[::-1])
-    np.multiply(np.cumsum(np.square(w_in))[op.first_row :], tail, out=tail)
-    try:
-        return math.ldexp(math.sqrt(float(np.max(tail))), scale)
-    except OverflowError:
-        raise ValueError(too_big) from None
+    np.multiply(np.cumsum(np.square(op.weights[0])), tail, out=tail)
+    return scale_back(math.sqrt(float(np.max(tail))))
 
 
 def norm_growth_profile(
@@ -415,8 +435,8 @@ def norm_growth_profile(
     warm size needs fewer Lanczos steps, and its `iterations` counts only
     those.
     """
-    sizes = [int(n) for n in sizes]
-    if not sizes or sizes[0] < 1:
+    sizes = [_size(n) for n in sizes]
+    if not sizes:
         raise ValueError("sizes must be a nonempty list of positive integers")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")

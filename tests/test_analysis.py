@@ -253,6 +253,9 @@ class TestClassifyBoundedness:
         for sizes in ((64,), (8, 16)):
             with pytest.raises(ValueError, match="sizes"):
                 classify_boundedness(LEBESGUE, 1.0, 1.0, sizes)
+        # Not run as their integer parts 64, 128 and 256.
+        with pytest.raises(ValueError, match="positive integer"):
+            classify_boundedness(LEBESGUE, 1.0, 1.0, (64.5, 128.2, 256.7))
 
 
 class TestClassifyCompactness:
@@ -429,16 +432,17 @@ class TestCheckEquivalence:
 class TestResolution:
     """Each engine's status near the critical line, as it is today.
 
-    Lebesgue measure at (1 + d, 1 - d) has s - 1 = d, so by the paper every
+    Lebesgue measure at (b + d, b - d) has s - 1 = d, so by the paper every
     entry here is unbounded.  README's "Resolution" paragraph and two FOUND
-    lines in CHANGES.md describe both outcomes as known defects: a norm
-    slope inside NORM_DEADBAND reads as bounded and prints DISAGREE, and
-    below DEADBAND every engine reads bounded and the entry agrees on a
-    wrong verdict.  On the compact side, Lebesgue measure at (1 - d, 1 + d)
-    and powlaw(c=1, gamma=0.5+e, delta=0) at (1.5, 0.5) are compact by the
-    paper for every d, e > 0, but the compactness engine reads not compact
-    up to d = 0.1 and e = 0.1.  A change that moves any status pinned here
-    must say so in CHANGES.md.
+    lines in CHANGES.md describe the outcomes as known defects: a norm
+    slope inside NORM_DEADBAND reads as bounded and prints DISAGREE; for d
+    between DEADBAND and 0.02 the Carleson engine reads bounded too, and
+    only the moment engine unbounded; below DEADBAND every engine reads
+    bounded and the entry agrees on a wrong verdict.  On the compact side,
+    Lebesgue measure at (1 - d, 1 + d) and powlaw(c=1, gamma=0.5+e,
+    delta=0) at (1.5, 0.5) are compact by the paper for every d, e > 0, but
+    the compactness engine reads not compact up to d = 0.1 and e = 0.1.  A
+    change that moves any status pinned here must say so in CHANGES.md.
     """
 
     @pytest.mark.parametrize("alpha, beta", [(1.03, 0.97), (1.06, 0.94)])
@@ -446,6 +450,21 @@ class TestResolution:
         rep = check_equivalence(LEBESGUE, alpha, beta)
         assert {k: v.kind for k, v in rep.verdicts.items()} == {
             "carleson": "not_carleson",
+            "moments": "not_moments",
+            "norm": "bounded_norm",
+        }
+        assert rep.boundedness_agree is False
+        assert not rep.ok
+
+    @pytest.mark.parametrize("b", [0.6, 1.0, 1.4])
+    def test_band_between_deadbands_prints_disagree(self, b: float) -> None:
+        # Offset 0.016, between DEADBAND (0.0139) and 0.02.  The Carleson
+        # slope, per step of j, is 0.016 ln 2 = 0.0111, inside DEADBAND;
+        # the moment slope 0.0160 lies outside it; the norm slopes 0.0358,
+        # 0.0208 and 0.0105 at b = 0.6, 1.0 and 1.4 lie inside NORM_DEADBAND.
+        rep = check_equivalence(LEBESGUE, b + 0.016, b - 0.016)
+        assert {k: v.kind for k, v in rep.verdicts.items()} == {
+            "carleson": "bounded_carleson",
             "moments": "not_moments",
             "norm": "bounded_norm",
         }

@@ -164,6 +164,12 @@ class TestSectionOp:
             SectionOp(LEB, S1, S1, 4, first_row=-1)
         with pytest.raises(ValueError):
             SectionOp(LEB, S1, S1, 4, first_row=5)
+        # A size must be an integer, or slicing would raise a TypeError;
+        # a numpy integer is one, and is kept as an int.
+        for size in (64.0, 64.5, "64"):
+            with pytest.raises(ValueError, match="positive integer"):
+                SectionOp(LEB, S1, S1, size)
+        assert type(SectionOp(LEB, S1, S1, np.int64(4)).size) is int
 
     def test_given_moments_are_a_read_only_prefix_view(self):
         m = parse_measure("atom(0.5,0.5)+powlaw(c=1,gamma=0,delta=0)")
@@ -318,7 +324,9 @@ class TestSectionNorm:
             op = SectionOp(LEB, SpaceIndex(a), SpaceIndex(b), 1)
             est = section_norm(op)
             assert est.method == "lanczos"
-            assert est.value == pytest.approx(op.moments[0], rel=1e-14)
+            # One step closes the Krylov space, so the value is step 1's,
+            # LAPACK's 1 x 1 eigenvalue alpha_1^2, bit for bit.
+            assert (est.value, est.iterations, est.residual) == (op.moments[0], 1, 0.0)
             assert est.value == pytest.approx(1.0, rel=1e-12)
 
     def test_power_matches_svd_small(self, dense_norm):
@@ -556,12 +564,19 @@ class TestHardyConstant:
                 assert got == pytest.approx(want, rel=1e-13), (name, a, section.first_row)
 
     def test_zero_section_and_overflow(self):
+        # section_norm and hardy_constant share one power-of-two frame: an
+        # all-zero section reads 0, and a value past the double range
+        # raises, from an infinite row weight (at beta = 0.1) or from the
+        # scale-back of a finite frame (atom(0.9,1.7e308) at (1, 1)).
         origin = tail_section(SectionOp(Measure.atom(0.0, 1.0), S1, S1, 32), 0)
-        assert hardy_constant(origin) == 0.0
-        huge = parse_measure("atom(0.99999,1.7e308)")
-        op = SectionOp(huge, S1, SpaceIndex(0.1), 16)
-        with pytest.raises(ValueError, match="double range"):
-            hardy_constant(op)
+        empty = SectionOp(LEB, S1, S1, 16, first_row=16)
+        for value, what in ((hardy_constant, "Hardy constant"),
+                            (lambda op: section_norm(op).value, "section norm")):
+            assert value(origin) == value(empty) == 0.0
+            for expr, beta in (("atom(0.99999,1.7e308)", 0.1), ("atom(0.9,1.7e308)", 1.0)):
+                op = SectionOp(parse_measure(expr), S1, SpaceIndex(beta), 16)
+                with pytest.raises(ValueError, match=f"size-16 {what} exceeds the double range"):
+                    value(op)
 
 
 class TestLostOrthogonality:
@@ -711,6 +726,10 @@ class TestGrowthProfile:
             norm_growth_profile(LEB, S1, S1, [64, 64])
         with pytest.raises(ValueError):
             norm_growth_profile(LEB, S1, S1, [0, 4])
+        # Neither run as 64 and 128.
+        for sizes in ([64.5, 128.9], ["64", "128"]):
+            with pytest.raises(ValueError, match="positive integer"):
+                norm_growth_profile(LEB, S1, S1, sizes)
 
 
 def test_reports_ignore_blas_threads(tmp_path):
