@@ -77,7 +77,7 @@ class SectionOp:
     A full section has first_row == 0; the tail operator that remains
     after truncating at row m starts at row m + 1 (see tail_section).
     alpha and beta must lie in (0, 2), the range of the characterizations,
-    and size must be a positive integer.
+    size must be a positive integer and first_row an integer in [0, size].
 
     `moments` holds mu_0, ..., mu_{size-1} and `weights` the pair
     (w_in, w_row) of column weights (k+1)^(-(1-alpha)/2) and row weights
@@ -99,11 +99,10 @@ class SectionOp:
     def __post_init__(self) -> None:
         require_index(self.alpha.alpha, "alpha")
         require_index(self.beta.alpha, "beta")
-        object.__setattr__(self, "size", _size(self.size))
-        if not 0 <= self.first_row <= self.size:
-            raise ValueError(
-                f"first row {self.first_row} out of range [0, {self.size}]"
-            )
+        object.__setattr__(self, "size", _integer(self.size, "section size"))
+        object.__setattr__(
+            self, "first_row", _integer(self.first_row, "first row", 0, self.size)
+        )
         moments = self.moments
         if moments is None:
             moments = moment_sequence(self.measure, self.size)
@@ -120,10 +119,16 @@ class SectionOp:
         object.__setattr__(self, "weights", weights)
 
 
-def _size(value) -> int:
-    """A section size as an int; ValueError unless a positive integer."""
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise ValueError(f"section size must be a positive integer, got {value!r}")
+def _integer(value, what: str, lo: int = 1, hi: float = math.inf) -> int:
+    """A section size or row as an int; ValueError unless an integer in
+    [lo, hi].  A float or a string would build a section that slicing
+    rejects only later, with a TypeError."""
+    if not (isinstance(value, (int, np.integer)) and lo <= value <= hi):
+        span = (
+            "a positive integer" if (lo, hi) == (1, math.inf)
+            else f"an integer in [{lo}, {hi}]"
+        )
+        raise ValueError(f"{what} must be {span}, got {value!r}")
     return int(value)
 
 
@@ -187,8 +192,7 @@ def apply(op: SectionOp, f: CoeffVec) -> CoeffVec:
 
 def tail_section(op: SectionOp, m: int) -> SectionOp:
     """Complementary rows above m: the operator minus its truncation at m."""
-    if not 0 <= m < op.size:
-        raise ValueError(f"truncation row {m} out of range [0, {op.size})")
+    m = _integer(m, "truncation row", 0, op.size - 1)
     return replace(op, first_row=max(op.first_row, m + 1))
 
 
@@ -435,7 +439,7 @@ def norm_growth_profile(
     warm size needs fewer Lanczos steps, and its `iterations` counts only
     those.
     """
-    sizes = [_size(n) for n in sizes]
+    sizes = [_integer(n, "section size") for n in sizes]
     if not sizes:
         raise ValueError("sizes must be a nonempty list of positive integers")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):

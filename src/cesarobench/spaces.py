@@ -129,10 +129,9 @@ def truncated_geometric_family(alpha: SpaceIndex, b: float, n_top: int) -> Coeff
         raise ValueError(f"b must lie in (0, 1), got {b}")
     if n_top < 0:
         raise ValueError("n_top must be nonnegative")
-    k_plus_1 = np.arange(1, n_top + 2, dtype=float)
-    powers = b**k_plus_1
+    powers = b ** np.arange(1, n_top + 2, dtype=float)
     # fsum, as in norm(), keeps omega independent of the BLAS thread count.
-    terms = k_plus_1 ** (1.0 - alpha.alpha) * (powers * powers)
+    terms = alpha.weights(n_top + 1) * (powers * powers)
     omega = math.fsum(terms.tolist())
     return CoeffVec(powers / math.sqrt(omega))
 

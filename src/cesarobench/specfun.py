@@ -1,110 +1,10 @@
-"""Log-Gamma, Beta, and Stirling-form remainder evaluation.
+"""ln B(u, v), kept only as a name for the benchmark's tracer.
 
-No production code path calls this module: `measures` evaluates moments
-with scipy.special.  It stays as an independent oracle, in pure Python,
-for acceptance criterion 5 (the Stirling remainder behind the Gamma(s)
-limit of critical normalized moments) and for the tests.
-
-Everything is done in log space so that Beta moments like B(n+1, g+1)
-stay representable for n up to 1e6 and beyond.  The accuracy contract for
-`log_gamma` is a relative error of the implied Gamma value below 1e-12
-wherever Gamma is representable, degrading gracefully to a relative error
-of ln Gamma itself once ln Gamma grows past O(1).
+No code in the package calls this module: `measures` evaluates every
+moment with scipy.special.  perfbench's `--trace 1` mode imports it and
+wraps `log_beta` by name, so the alias stays until that tracer drops it.
 """
 
-from __future__ import annotations
+from scipy.special import betaln as log_beta
 
-import math
-
-__all__ = [
-    "log_gamma",
-    "beta",
-    "log_beta",
-    "stirling_remainder",
-    "stirling_remainder_bound",
-]
-
-# Lanczos approximation, g = 7, 9 coefficients.  Gives ~1e-15 relative
-# accuracy of Gamma across the positive axis, comfortably inside the
-# 1e-12 contract.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_PI = math.log(math.pi)
-
-
-def _lanczos_series(z: float) -> float:
-    series = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        series += _LANCZOS_COEFFS[k] / (z + k)
-    return series
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0 via the Lanczos expansion.
-
-    Raises ValueError for x <= 0 (poles and the reflection half-line are
-    outside the domain of every caller here).
-    """
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x).  Keeps the
-        # Lanczos series on its well-conditioned half-line.
-        return _LOG_PI - math.log(math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(_lanczos_series(z))
-
-
-def log_beta(u: float, v: float) -> float:
-    """ln B(u, v) for u, v > 0."""
-    if not (u > 0.0 and v > 0.0):
-        raise ValueError(f"log_beta requires u, v > 0, got u={u!r}, v={v!r}")
-    return log_gamma(u) + log_gamma(v) - log_gamma(u + v)
-
-
-def beta(u: float, v: float) -> float:
-    """B(u, v) = Gamma(u) Gamma(v) / Gamma(u+v), for u, v > 0."""
-    return math.exp(log_beta(u, v))
-
-
-def stirling_remainder(x: float) -> float:
-    """The remainder r(x) in Gamma(x) = sqrt(2 pi) x^{x-1/2} e^{-x} (1 + r(x)).
-
-    For x >= 0.5, ln(1 + r(x)) is formed from the Lanczos terms without
-    subtracting two large logs: with t = x + g - 1/2,
-
-        lnGamma(x) - lnStirling(x)
-            = (x - 1/2) log1p((g - 1/2)/x) - (g - 1/2) + ln(series),
-
-    which stays absolutely accurate even when lnGamma is ~1e5 and the
-    remainder itself is ~1e-6.
-    """
-    if not x > 0.0:
-        raise ValueError(f"stirling_remainder requires x > 0, got {x!r}")
-    if x < 0.5:
-        # lnGamma is O(1) here, the naive difference loses nothing.
-        log_stirling = _HALF_LOG_TWO_PI + (x - 0.5) * math.log(x) - x
-        return math.expm1(log_gamma(x) - log_stirling)
-    shift = _LANCZOS_G - 0.5
-    log_ratio = (x - 0.5) * math.log1p(shift / x) - shift
-    return math.expm1(log_ratio + math.log(_lanczos_series(x - 1.0)))
-
-
-def stirling_remainder_bound(x: float) -> float:
-    """Upper bound exp(1/(12x)) - 1 for |r(x)|, valid for all x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"stirling_remainder_bound requires x > 0, got {x!r}")
-    return math.expm1(1.0 / (12.0 * x))
+__all__ = ["log_beta"]

@@ -441,7 +441,8 @@ class TestResolution:
     bounded and the entry agrees on a wrong verdict.  On the compact side,
     Lebesgue measure at (1 - d, 1 + d) and powlaw(c=1, gamma=0.5+e,
     delta=0) at (1.5, 0.5) are compact by the paper for every d, e > 0, but
-    the compactness engine reads not compact up to d = 0.1 and e = 0.1.  A
+    the compactness engine reads not compact up to d = 0.1 and e = 0.1 and
+    compact from 0.15 on, over d, e in {0.02, 0.05, 0.1, 0.15, 0.2, 0.3}.  A
     change that moves any status pinned here must say so in CHANGES.md.
     """
 
@@ -484,18 +485,27 @@ class TestResolution:
     @pytest.mark.parametrize(
         "measure, alpha, beta, kind",
         [
+            ("lebesgue", 0.98, 1.02, "not_compact"),
             ("lebesgue", 0.95, 1.05, "not_compact"),
             ("lebesgue", 0.9, 1.1, "not_compact"),
             ("lebesgue", 0.85, 1.15, "compact"),
+            ("lebesgue", 0.8, 1.2, "compact"),
+            ("lebesgue", 0.7, 1.3, "compact"),
+            ("powlaw(c=1, gamma=0.52, delta=0)", 1.5, 0.5, "not_compact"),
+            ("powlaw(c=1, gamma=0.55, delta=0)", 1.5, 0.5, "not_compact"),
             ("powlaw(c=1, gamma=0.6, delta=0)", 1.5, 0.5, "not_compact"),
             ("powlaw(c=1, gamma=0.65, delta=0)", 1.5, 0.5, "compact"),
+            ("powlaw(c=1, gamma=0.7, delta=0)", 1.5, 0.5, "compact"),
+            ("powlaw(c=1, gamma=0.8, delta=0)", 1.5, 0.5, "compact"),
         ],
     )
     def test_compactness_edge(
         self, measure: str, alpha: float, beta: float, kind: str
     ) -> None:
-        # Hardy-constant slopes -0.066, -0.113, -0.161, -0.104 and -0.153
-        # against COMPACT_SLOPE_THRESHOLD = -0.15.
+        # Hardy-constant slopes, against COMPACT_SLOPE_THRESHOLD = -0.15:
+        # -0.038, -0.066, -0.113, -0.161, -0.208 and -0.303 for Lebesgue
+        # measure at d = 0.02, 0.05, 0.1, 0.15, 0.2 and 0.3; -0.026, -0.055,
+        # -0.104, -0.153, -0.202 and -0.300 for the power law at the same e.
         v = classify_compactness(parse_measure(measure), alpha, beta)
         assert v.kind == kind
 

@@ -170,6 +170,11 @@ class TestSectionOp:
             with pytest.raises(ValueError, match="positive integer"):
                 SectionOp(LEB, S1, S1, size)
         assert type(SectionOp(LEB, S1, S1, np.int64(4)).size) is int
+        # So must a first row.
+        for row in (1.5, 2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match="first row"):
+                SectionOp(LEB, S1, S1, 8, first_row=row)
+        assert type(SectionOp(LEB, S1, S1, 8, first_row=np.int64(3)).first_row) is int
 
     def test_given_moments_are_a_read_only_prefix_view(self):
         m = parse_measure("atom(0.5,0.5)+powlaw(c=1,gamma=0,delta=0)")
@@ -313,9 +318,11 @@ class TestTailSection:
 
     def test_range_errors(self):
         op = SectionOp(LEB, S1, S1, 4)
-        for bad in (-1, 4, 9):
+        for bad in (-1, 4, 9, 1.5, 2.5, 3.0, "3"):
             with pytest.raises(ValueError):
                 tail_section(op, bad)
+        first_row = tail_section(op, np.int64(2)).first_row
+        assert first_row == 3 and type(first_row) is int
 
 
 class TestSectionNorm:
