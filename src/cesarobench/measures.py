@@ -340,22 +340,34 @@ def moments_at(m: Measure, ns) -> np.ndarray:
     the result at n does not depend on the rest of ns, bit for bit.
     """
     ns = np.asarray(ns, dtype=float)
+    total = _atom_moments(m.atoms, ns)
+    for c, gamma, delta in m.densities:
+        total += _density_moments(c, gamma, delta, ns)
+    return total
+
+
+def _density_moments(c: float, gamma: float, delta: float, ns) -> np.ndarray:
+    """One density's c B(n+delta+1, gamma+1) at the float array ns, by
+    poch with the exp(betaln) fallback that moments_at describes."""
+    a = ns + delta + 1.0
+    b = gamma + 1.0
+    gamma_b = _sp.gamma(b)
+    rising = _sp.poch(a, b)
+    with np.errstate(invalid="ignore"):
+        term = c * (gamma_b / rising)
+    overflow = ~(math.isfinite(gamma_b) & np.isfinite(rising))
+    if overflow.any():
+        term[overflow] = c * np.exp(_sp.betaln(a[overflow], b))
+    return term
+
+
+def _atom_moments(atoms, ns: np.ndarray) -> np.ndarray:
+    """The atoms' part of mu[n], sum of mass * t0^n, at the float array ns."""
     total = np.zeros_like(ns)
-    for t0, mass in m.atoms:
+    for t0, mass in atoms:
         # pow is slow where t0^n rounds to +0 (n log2(1/t0) > 1075): skip it.
         live = ns * -math.log2(t0) < 1076.0 if t0 > 0.0 else True
         total += mass * np.power(t0, ns, out=np.zeros_like(ns), where=live)
-    for c, gamma, delta in m.densities:
-        a = ns + delta + 1.0
-        b = gamma + 1.0
-        gamma_b = _sp.gamma(b)
-        rising = _sp.poch(a, b)
-        with np.errstate(invalid="ignore"):
-            term = c * (gamma_b / rising)
-        overflow = ~(math.isfinite(gamma_b) & np.isfinite(rising))
-        if overflow.any():
-            term[overflow] = c * np.exp(_sp.betaln(a[overflow], b))
-        total += term
     return total
 
 
@@ -367,8 +379,40 @@ def moment(m: Measure, n: int) -> float:
 
 
 def moment_sequence(m: Measure, count: int) -> np.ndarray:
-    """Moments mu[0..count-1] as an array; entry n equals moment(m, n)."""
-    return moments_at(m, np.arange(count, dtype=float))
+    """Moments mu[0..count-1] as an array.
+
+    Atoms give mass * t0^n as in moments_at.  A density's term starts at
+    its mu_0 = c B(delta+1, b), b = gamma+1, as moments_at gives it, and
+    goes on by its ratio recurrence mu_n = mu_{n-1} (1 - b/(n+delta+b)) as
+    one cumulative product formed in place.  The ratio is written as 1
+    minus a quotient because the plain (n+delta)/(n+delta+b) rounds both
+    sums the same way across a binade, so its errors add up: 1.9e-11
+    relative at n = 2^20 for (gamma, delta) = (0.3, 1) and (-0.2, 0).
+    Against mpmath at 341 n up to 2^20, on the default panel's 18 exponent
+    pairs and those two, the worst error was 1.3e-13, where poch's was
+    2.9e-11.  So entries agree with moment(m, n) to about 3e-11 relative,
+    not bit for bit.  As in _add_density_tails, the first term becomes
+    the sum when there are no atoms.
+    """
+    ns = np.arange(count, dtype=float)
+    total = _atom_moments(m.atoms, ns) if m.atoms or not m.densities else None
+    scratch = None
+    for c, gamma, delta in m.densities:
+        if total is None:
+            term = np.empty_like(ns)
+        else:
+            term = scratch = np.empty_like(ns) if scratch is None else scratch
+        b = gamma + 1.0
+        np.add(ns, delta + b, out=term)
+        np.divide(b, term, out=term)
+        np.subtract(1.0, term, out=term)
+        term[:1] = _density_moments(c, gamma, delta, ns[:1])
+        np.cumprod(term, out=term)
+        if total is None:
+            total = term
+        else:
+            total += term
+    return total
 
 
 def dyadic_grid(n_max: int) -> list[int]:
@@ -413,6 +457,9 @@ _U_NODES.flags.writeable = _U_WEIGHTS.flags.writeable = False
 # u^(1/n) rounds near 1 and the route drifts (2.1e-5 relative at 2^40).
 BY_PARTS_N_MAX = 1 << 32
 
+# The largest double below 1.0, the clamp on moment_by_parts's nodes.
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
 
 def moment_by_parts(m: Measure, n: int) -> float:
     """mu[n] recomputed as n * int_0^1 t^{n-1} mu([t,1)) dt, n >= 1.
@@ -442,7 +489,7 @@ def moment_by_parts(m: Measure, n: int) -> float:
     # Nodes near u = 1 can round t up to 1.0 exactly; keep them strictly
     # inside the domain of the tail.
     ts = np.power(_U_NODES, 1.0 / n)
-    np.minimum(ts, np.nextafter(1.0, 0.0), out=ts)
+    np.minimum(ts, _BELOW_ONE, out=ts)
     tails = _add_density_tails(m.densities, ts, None)
     tails *= _U_WEIGHTS
     return float(steps + np.sum(tails))

@@ -13,12 +13,15 @@ The norm comes from Golub-Kahan-Lanczos bidiagonalization of A (Lanczos
 matrix-vector products applied matrix-free through prefix sums, so no
 N x N array is ever formed; each step reads its value off the small
 tridiagonal B^T B, at most MAX_ITER x MAX_ITER, with LAPACK's symmetric
-eigensolver (np.linalg.eigvalsh).  A call works in rows of length N cut
-from one float block, four of them or seven where it builds a Ritz
-vector, and a norm profile runs all its sizes in one block: freeing one
-large block keeps glibc from handing the profile's megabyte arrays back
-to the kernel, whose fresh zeroed pages cost about 15 % of a profile (see
-the comment in norm_growth_profile).  It runs on the row weights in
+eigensolver (np.linalg.eigvalsh).  Each squared vector norm is one
+np.einsum pass, numpy's own loop and not BLAS, so the bits depend neither
+on the BLAS thread count nor on where the rows lie in memory.  A call
+works in rows of length N cut from one float block, four of them or
+seven where it builds a Ritz vector, and a norm profile runs all its
+sizes in one block: freeing one large block keeps glibc from handing the
+profile's megabyte arrays back to the kernel, whose fresh zeroed pages
+cost about 15 % of a profile (see the comment in norm_growth_profile).
+It runs on the row weights in
 their power-of-two frame, which _frame describes.
 Iteration stops once two successive Ritz values differ by less than the
 requested relative tolerance (TOL by default) or after MAX_ITER steps.  A
@@ -53,10 +56,10 @@ __all__ = [
 
 # Lanczos steps before section_norm stops and reports its residual.  The
 # norm engine's 480 sections on the full default panel need at most 8 at
-# TOL and 11 at 1e-15.
+# TOL and 11 at 1e-15 (1,918 and 2,673 steps in all).
 # A tol below the rounding unit (1e-16, 1e-300) is met only by two
 # successive values equal to the last bit, and LAPACK's value moves in its
-# last bits from one step to the next, so there a pass needs up to 31; 40
+# last bits from one step to the next, so there a pass needs up to 36; 40
 # still covers that.  Step k takes the top eigenvalue of the k x k
 # tridiagonal B^T B from LAPACK, so the cap also keeps that solve small
 # enough to run single-threaded.
@@ -231,22 +234,30 @@ def _frame(op: SectionOp, row: np.ndarray, what: str) -> Callable[[float], float
     return scale_back
 
 
-def _start_vector(start, v: np.ndarray, squares: np.ndarray) -> None:
+def _sum_of_squares(x: np.ndarray) -> float:
+    """x . x in one pass of numpy's own einsum loop, not BLAS: its order
+    of additions depends neither on the BLAS thread count nor on where x
+    starts in memory."""
+    return float(np.einsum("i,i->", x, x))
+
+
+def _start_vector(start, v: np.ndarray) -> None:
     """Write into v the unit copy of start, extended to v's length by
-    repeating its last entry; squares, as long as v, is scratch."""
+    repeating its last entry."""
     start = np.asarray(start, dtype=float)
     if start.ndim != 1 or not 1 <= start.size <= v.size:
         raise ValueError(
             f"start must be a 1-d array of 1 to {v.size} entries, got shape {start.shape}"
         )
-    if not (np.all(np.isfinite(start)) and np.all(start >= 0.0) and start[0] > 0.0):
+    # min and max pass a NaN on, which fails both tests.
+    low, peak = float(np.min(start)), float(np.max(start))
+    if not (low >= 0.0 and math.isfinite(peak) and start[0] > 0.0):
         raise ValueError("start must be finite and nonnegative with start[0] > 0")
     v[: start.size] = start
     v[start.size :] = start[-1]
     # Rescaling first keeps the squares of tiny or huge entries in range.
-    np.divide(v, np.max(v), out=v)
-    np.multiply(v, v, out=squares)
-    np.divide(v, math.sqrt(float(np.sum(squares))), out=v)
+    np.divide(v, peak, out=v)
+    np.divide(v, math.sqrt(_sum_of_squares(v)), out=v)
 
 
 def section_norm(
@@ -279,15 +290,16 @@ def section_norm(
 
     It reads the section's column weights in place and copies its row
     weights once, into the frame of _frame, from which each value is
-    scaled back exactly.  Every reduction is np.sum, which, unlike
-    the BLAS dot behind np.dot and np.linalg.norm, adds in an order that
-    does not depend on the BLAS thread count; the LAPACK solve, at most
-    MAX_ITER x MAX_ITER, gives the same bytes under 1 and 2 BLAS threads
-    (a test checks this).  So the result is bit for bit that of the plain allocating
-    loop written out in the tests.  A start shorter than the section is
-    extended by repeating its last entry, then normalized; it must be
-    nonnegative with a positive first entry, which keeps its overlap with
-    the top singular vector positive.  Every entry
+    scaled back exactly.  Every squared norm is np.einsum("i,i->", x, x),
+    which fuses the squares into the sum and, unlike the BLAS dot behind
+    np.dot and np.linalg.norm, adds in an order that depends neither on
+    the BLAS thread count nor on the buffer's alignment; the LAPACK solve,
+    at most MAX_ITER x MAX_ITER, gives the same bytes under 1 and 2 BLAS
+    threads.  Tests check both, and that the result is bit for bit that
+    of the plain allocating loop written out in them.  A start shorter
+    than the section is extended by repeating its last entry, then
+    normalized; it must be nonnegative with a positive first entry, which
+    keeps its overlap with the top singular vector positive.  Every entry
     of A is nonnegative, so A^T A is entrywise positive on the columns up
     to the last nonzero row and zero beyond them; by Perron-Frobenius the
     top right singular vector is positive on those columns, the first
@@ -296,10 +308,11 @@ def section_norm(
     With ritz_vector, `vector` is the absolute value of the top Ritz
     vector cut to its first RITZ_TERMS Lanczos terms, normalized: a start
     for the next larger nested section.  Its coefficients are the head of
-    the top eigenvector of B^T B from np.linalg.eigh.  Building it keeps
-    those Lanczos vectors and changes nothing else.  Non-convergence
-    within MAX_ITER steps is reported through residual >= tol * value; a
-    norm past the double range raises.
+    the top eigenvector of B^T B from np.linalg.eigh, applied to those
+    Lanczos vectors in one np.einsum pass.  Building it keeps the vectors
+    and changes nothing else.  Non-convergence within MAX_ITER steps is
+    reported through residual >= tol * value; a norm past the double range
+    raises.
 
     The work happens in `buffer`, a 1-d float64 array that does not
     overlap start, cut into rows of length op.size from its first entry:
@@ -321,8 +334,9 @@ def section_norm(
         raise ValueError(f"buffer must be a 1-d float64 array of at least {length} entries")
     # w_out, p, t and v_1, then with ritz_vector one row for each of v_2,
     # ..., v_{RITZ_TERMS+1}; the last goes on to hold every later v.
-    w_out, p, t, v, *spare = buffer[:length].reshape(-1, op.size)
-    _start_vector(start, v, t)
+    rows = buffer[:length].reshape(-1, op.size)
+    w_out, p, t, v, *spare = rows
+    _start_vector(start, v)
 
     scale_back = _frame(op, w_out, "section norm")
     if scale_back is None:
@@ -330,33 +344,28 @@ def section_norm(
     w_in = op.weights[0]
     # The recurrence keeps v_k unit and p_k = alpha_k u_k unnormalized, so
     # only v is divided.  t receives A v_k, then p_k; p holds p_{k-1}, then
-    # the squares of p_k, then A^T p_k and r_k = alpha_k (A^T u_k - alpha_k
-    # v_k); the next v holds alpha_k^2 v_k, then the squares of r_k, then
-    # v_{k+1}; p and t then trade places.  The operation order is that of
-    # the plain expressions
+    # A^T p_k and r_k = alpha_k (A^T u_k - alpha_k v_k); the next v holds
+    # alpha_k^2 v_k, then v_{k+1}; p and t then trade places.  The
+    # operation order is that of the plain expressions
     #     p_k = w_out * np.cumsum(w_in * v) - (beta / alpha) * p
     #     r_k = w_in * np.cumsum((w_out * p_k)[::-1])[::-1] - (alpha * alpha) * v,
     # so the buffers change no bit of the result.  Where the Ritz vector is
-    # built, v_1, ..., v_RITZ_TERMS stay in `kept`, each in its own row.
+    # built, v_1, ..., v_RITZ_TERMS stay in consecutive rows from v_1's.
     # B^T B lives in the lower triangle of `tri`, one row longer than
     # MAX_ITER for the off-diagonal entry the last step writes.
-    kept = []
     tri = np.zeros((MAX_ITER + 1, MAX_ITER + 1))
     alpha = beta = 0.0
     root_prev = None
     residual = math.inf
     for k in range(1, MAX_ITER + 1):
         keep = ritz_vector and k <= RITZ_TERMS
-        if keep:
-            kept.append(v)
         np.multiply(w_in, v, out=t)
         np.cumsum(t, out=t)
         np.multiply(w_out, t, out=t)
         if k > 1:
             np.multiply(p, beta / alpha, out=p)
             np.subtract(t, p, out=t)
-        np.multiply(t, t, out=p)
-        alpha = math.sqrt(float(np.sum(p)))
+        alpha = math.sqrt(_sum_of_squares(t))
         tri[k - 1, k - 1] = alpha * alpha + beta * beta
         root = math.sqrt(float(np.linalg.eigvalsh(tri[:k, :k])[-1]))
         sigma = scale_back(root)
@@ -378,9 +387,8 @@ def section_norm(
         v_next = spare[k - 1] if keep else v
         np.multiply(v, alpha * alpha, out=v_next)
         np.subtract(p, v_next, out=p)
-        np.multiply(p, p, out=v_next)
         # rho = alpha_k beta_k, the off-diagonal entry of B^T B.
-        rho = math.sqrt(float(np.sum(v_next)))
+        rho = math.sqrt(_sum_of_squares(p))
         if rho == 0.0:
             residual = 0.0
             break
@@ -391,16 +399,13 @@ def section_norm(
         p, t = t, p
     vector = None
     if ritz_vector:
-        # The top eigenvector of B^T B, scaled so that its first entry is 1.
+        # The top eigenvector of B^T B, scaled so that its first entry is 1,
+        # weights the kept v_1, ..., v_kept, rows 3 on, in one pass.
+        kept = min(k, RITZ_TERMS)
         top = np.linalg.eigh(tri[:k, :k])[1][:, -1]
-        head = top[: len(kept)] / top[0]
-        vector = kept[0]
-        for y, basis in zip(head[1:], kept[1:]):
-            np.multiply(basis, y, out=basis)
-            np.add(vector, basis, out=vector)
-        np.abs(vector, out=vector)
-        np.multiply(vector, vector, out=t)
-        vector = np.divide(vector, math.sqrt(float(np.sum(t))))
+        np.einsum("k,kn->n", top[:kept] / top[0], rows[3 : 3 + kept], out=t)
+        np.abs(t, out=t)
+        vector = np.divide(t, math.sqrt(_sum_of_squares(t)))
     return OpNormEstimate(sigma, k, residual, vector)
 
 

@@ -2,7 +2,8 @@
 
 Every test prints a single PASS line on success; a failed criterion shows
 up as the test's FAILED line.  The heavyweight default panel is evaluated
-once and shared by the two criteria that read it.
+once and shared by the two criteria that read it and by the test that pins
+each of its verdicts.
 """
 
 from __future__ import annotations
@@ -141,6 +142,55 @@ def test_criterion_4_compactness_panel_agreement(default_panel_report) -> None:
         "compactness engines; lebesgue critical is bounded-not-compact with "
         "unit tail ratios; atom tails vanish below 1e-6 by M = N/4"
     )
+
+
+# Each engine's kind for the three outcomes on the default panel: compact
+# (mu_n = o(n^-s)), bounded but not compact (critical), and unbounded, where
+# the compactness engine does not run.
+_COMPACT = {
+    "carleson": "vanishing_carleson",
+    "moments": "vanishing_moments",
+    "norm": "bounded_norm",
+    "compactness": "compact",
+}
+_CRITICAL = {
+    "carleson": "bounded_carleson",
+    "moments": "bounded_moments",
+    "norm": "bounded_norm",
+    "compactness": "not_compact",
+}
+_UNBOUNDED = {"carleson": "not_carleson", "moments": "not_moments", "norm": "not_norm"}
+PANEL_PAIRS = ((0.5, 1.5), (0.8, 1.2), (1.0, 1.0), (1.2, 0.8), (1.5, 0.5))
+PANEL_OUTCOMES = {
+    "atom_edge": (_COMPACT,) * 5,
+    "atom_half": (_COMPACT,) * 5,
+    "lebesgue": (_COMPACT, _COMPACT, _CRITICAL, _UNBOUNDED, _UNBOUNDED),
+    "mix_atom_crit": (_CRITICAL,) * 5,
+    "mix_atom_sub": (_COMPACT,) * 5,
+    "powlaw_crit": (_CRITICAL,) * 5,
+    "powlaw_near": (_COMPACT,) * 5,
+    "powlaw_sub": (_COMPACT,) * 5,
+}
+
+
+def test_default_panel_kinds_are_pinned(default_panel_report) -> None:
+    # Agreement alone would pass if every engine flipped together; this
+    # pins each (name, pair, engine) of the 40 entries to its kind.
+    _, doc, _ = default_panel_report
+    got = {
+        (e["name"], (e["alpha"], e["beta"]), engine): verdict["kind"]
+        for e in doc["entries"]
+        for engine, verdict in e["verdicts"].items()
+    }
+    want = {
+        (name, pair, engine): kind
+        for name, outcomes in PANEL_OUTCOMES.items()
+        for pair, kinds in zip(PANEL_PAIRS, outcomes, strict=True)
+        for engine, kind in kinds.items()
+    }
+    assert len(doc["entries"]) == 40
+    assert got == want
+    print(f"PASS panel kinds: all {len(got)} engine kinds of the 40 entries as pinned")
 
 
 def test_criterion_5_moment_machinery() -> None:

@@ -25,6 +25,13 @@ from cesarobench.measures import (
     parse_measure,
     tail_values,
 )
+from conftest import (
+    PANEL_EXPONENTS,
+    SEQUENCE_EXPONENTS,
+    SEQUENCE_NS,
+    exact_moment,
+    worst_moment_error,
+)
 
 PANEL = [
     "lebesgue",
@@ -377,39 +384,36 @@ class TestMoment:
         assert moment(m, 1) == 0.0
 
     def test_moment_sequence_matches_pointwise(self):
-        # The last measure overflows Gamma and poch, taking the log route.
+        # The sequence's ratio recurrence keeps every entry within 1e-12 of
+        # mpmath up to 2^20, on each panel exponent pair, the two where a
+        # plain quotient drifts, and the mixtures with their atoms.
+        count = SEQUENCE_NS[-1] + 1
+        for gamma, delta in SEQUENCE_EXPONENTS:
+            m = Measure.powlaw(1.0, gamma, delta)
+            assert worst_moment_error(m, moment_sequence(m, count)) <= 1e-12, (gamma, delta)
+        for expr in PANEL:
+            m = parse_measure(expr)
+            assert worst_moment_error(m, moment_sequence(m, count)) <= 1e-12, expr
+        # moments_at evaluates each entry on its own, so a grid agrees with
+        # moment bit for bit.  The last measure overflows Gamma and poch,
+        # taking the log route.
         for expr in PANEL + ["powlaw(c=1,gamma=200,delta=300) + atom(0.5,1.0)"]:
             m = parse_measure(expr)
-            seq = moment_sequence(m, 65)
-            for n in (0, 1, 7, 64):
-                assert seq[n] == moment(m, n)
             grid = moments_at(m, MOMENT_GRID)
             for i, n in enumerate(MOMENT_GRID):
                 assert grid[i] == moment(m, n)
 
 
-def _exact_moment(c: float, gamma: float, delta: float, n: int):
-    """c B(n+delta+1, gamma+1) at 40 digits, from the exact float inputs."""
-    with mpmath.workdps(40):
-        return mpmath.mpf(c) * mpmath.beta(
-            n + mpmath.mpf(delta) + 1, mpmath.mpf(gamma) + 1
-        )
-
-
 class TestMomentAccuracy:
-    # Exponent pairs (gamma, delta) of every density on the default panel.
-    PANEL_EXPONENTS = sorted(
-        {(g, d) for _, m, _, _ in build_panel(default_config()) for _, g, d in m.densities}
-    )
     # The dyadic grid of the moment engine, and the band where scipy's
     # poch switches from its log-gamma difference to its asymptotic series.
     NS = dyadic_grid(1 << 20) + list(range(5000, 10001, 10))
 
     def test_panel_exponents_against_mpmath(self):
-        for gamma, delta in self.PANEL_EXPONENTS:
+        for gamma, delta in PANEL_EXPONENTS:
             m = Measure.powlaw(1.0, gamma, delta)
             for n in self.NS:
-                exact = _exact_moment(1.0, gamma, delta, n)
+                exact = exact_moment(m, n)
                 rel = float(abs((mpmath.mpf(moment(m, n)) - exact) / exact))
                 assert rel <= 1e-10, (gamma, delta, n, rel)
 
@@ -418,16 +422,19 @@ class TestMomentAccuracy:
     def test_extreme_exponents_stay_finite_and_accurate(self, gamma, delta):
         # Gamma(gamma+1) and poch(n+delta+1, gamma+1) overflow here, so the
         # plain quotient would give inf, nan or a spurious 0.
+        # moment_sequence starts from the same mu_0 and is held to the
+        # same rule.
         m = Measure.powlaw(1.0, gamma, delta)
+        seq = moment_sequence(m, (1 << 20) + 1)
         for n in (0, 1, 10, 1000, 1 << 20):
-            got = moment(m, n)
-            assert math.isfinite(got) and got >= 0.0, (gamma, delta, n, got)
-            exact = _exact_moment(1.0, gamma, delta, n)
-            if exact >= 1e-300:
-                rel = float(abs((mpmath.mpf(got) - exact) / exact))
-                assert rel <= 1e-7, (gamma, delta, n, got, exact)
-            else:
-                assert got <= 1e-300, (gamma, delta, n, got, exact)
+            exact = exact_moment(m, n)
+            for got in (moment(m, n), float(seq[n])):
+                assert math.isfinite(got) and got >= 0.0, (gamma, delta, n, got)
+                if exact >= 1e-300:
+                    rel = float(abs((mpmath.mpf(got) - exact) / exact))
+                    assert rel <= 1e-7, (gamma, delta, n, got, exact)
+                else:
+                    assert got <= 1e-300, (gamma, delta, n, got, exact)
 
 
 class TestMomentByParts:
@@ -533,10 +540,8 @@ class TestMomentByPartsClosedForm:
         assert len(mixed) == 10
         for m in mixed:
             for n in (1, 7, 64, 1 << 20, 1 << 32):
+                exact = exact_moment(m, n)
                 with mpmath.workdps(40):
-                    exact = sum(
-                        mpmath.mpf(mass) * mpmath.mpf(t0) ** n for t0, mass in m.atoms
-                    ) + sum(_exact_moment(c, g, d, n) for c, g, d in m.densities)
                     rel = abs((mpmath.mpf(moment_by_parts(m, n)) - exact) / exact)
                 assert rel <= 1e-7, (format_measure(m), n, float(rel))
 

@@ -16,7 +16,7 @@ import cesarobench
 from cesarobench import operators
 from cesarobench.analysis import COMPACT_SIZE, COMPACT_TRUNCATIONS, NORM_SIZES
 from cesarobench.cli import PanelConfig, build_panel, default_config
-from cesarobench.measures import Measure, moment, moment_sequence, parse_measure
+from cesarobench.measures import Measure, moment_sequence, parse_measure
 from cesarobench.operators import (
     MAX_ITER,
     TOL,
@@ -29,7 +29,12 @@ from cesarobench.operators import (
     tail_section,
 )
 from cesarobench.spaces import CoeffVec, SpaceIndex
-from conftest import conjugation_weights
+from conftest import (
+    SEQUENCE_EXPONENTS,
+    SEQUENCE_NS,
+    conjugation_weights,
+    worst_moment_error,
+)
 
 LEB = Measure.lebesgue()
 S1 = SpaceIndex(1.0)
@@ -56,8 +61,9 @@ def _plain_frame(op: SectionOp):
 
 def reference_section_norm(op: SectionOp, tol: float = TOL):
     """Golub-Kahan-Lanczos as plain allocating expressions, with v_k unit
-    and p_k = alpha_k u_k: the operation order section_norm's in-place
-    buffers must keep bit for bit, from the all-ones start.  The top
+    and p_k = alpha_k u_k and each squared norm from np.einsum: the
+    operation order section_norm's in-place buffers must keep bit for bit,
+    from the all-ones start.  The top
     eigenvalue of B^T B comes from np.linalg.eigvalsh on a tridiagonal
     built here.  Returns (value, iterations, residual, Lanczos vectors,
     diagonal, off-diagonal)."""
@@ -75,7 +81,7 @@ def reference_section_norm(op: SectionOp, tol: float = TOL):
         p_k = w_out * np.cumsum(w_in * v)
         if k > 1:
             p_k = p_k - (beta / alpha) * p
-        alpha = math.sqrt(float(np.sum(p_k * p_k)))
+        alpha = math.sqrt(float(np.einsum("i,i->", p_k, p_k)))
         diag.append(alpha * alpha + beta * beta)
         if k == 1:
             lam = diag[0]
@@ -92,7 +98,7 @@ def reference_section_norm(op: SectionOp, tol: float = TOL):
             residual = 0.0
             break
         r = w_in * np.cumsum((w_out * p_k)[::-1])[::-1] - (alpha * alpha) * v
-        rho = math.sqrt(float(np.sum(r * r)))
+        rho = math.sqrt(float(np.einsum("i,i->", r, r)))
         if rho == 0.0:
             residual = 0.0
             break
@@ -148,9 +154,14 @@ def three_panel_entries(pairs):
 
 class TestSectionOp:
     def test_moments_match_measure(self):
-        op = SectionOp(LEB, S1, S1, 16)
-        for n in (0, 3, 15):
-            assert op.moments[n] == moment(LEB, n)
+        # A section's moments come from moment_sequence, within 1e-12 of
+        # mpmath up to 2^20 on each panel exponent pair and the two where a
+        # plain quotient recurrence drifts.
+        size = SEQUENCE_NS[-1] + 1
+        for gamma, delta in SEQUENCE_EXPONENTS:
+            m = Measure.powlaw(1.0, gamma, delta)
+            op = SectionOp(m, S1, S1, size)
+            assert worst_moment_error(m, op.moments) <= 1e-12, (gamma, delta)
 
     def test_moments_read_only(self):
         op = SectionOp(LEB, S1, S1, 4)
@@ -478,6 +489,23 @@ class TestSectionNorm:
             else:
                 assert got.vector is None
 
+    def test_buffer_offset_changes_no_byte(self):
+        # einsum's reductions must not depend on where the rows start: a
+        # buffer shifted by 1 to 7 entries, at an odd size so that the rows
+        # also start at every residue, gives the bytes of an aligned one.
+        m = parse_measure("atom(0.9,0.25)+powlaw(c=0.5,gamma=0.5,delta=1)")
+        op = SectionOp(m, SpaceIndex(1.5), SpaceIndex(0.5), 4099)
+        for ritz in (False, True):
+            base = np.empty(7 * op.size + 8)
+            runs = [section_norm(op, ritz_vector=ritz, buffer=base[offset:])
+                    for offset in range(8)]
+            want = runs[0]
+            for offset, got in enumerate(runs):
+                assert (got.value, got.iterations, got.residual) == (
+                    want.value, want.iterations, want.residual), (ritz, offset)
+                if ritz:
+                    assert got.vector.tobytes() == want.vector.tobytes(), offset
+
     def test_short_or_foreign_buffer_raises(self):
         op = SectionOp(LEB, S1, S1, 64)
         section_norm(op, buffer=np.empty(4 * 64))
@@ -711,10 +739,31 @@ class TestGrowthProfile:
                 for y in vectors[i + 1 :]:
                     assert not np.shares_memory(x, y)
 
+    def test_profile_ignores_buffer_offset(self, monkeypatch):
+        # Every size of a profile run in its block moved by 1 to 7 entries
+        # gives the bytes of the profile in its own aligned block.
+        sizes = [1000, 2049, 4099]
+        m = parse_measure("atom(0.9,0.25)+powlaw(c=0.5,gamma=0.5,delta=1)")
+        alpha, beta = SpaceIndex(1.5), SpaceIndex(0.5)
+
+        def record(profile):
+            return [(n, est.value, est.iterations, est.residual,
+                     None if est.vector is None else est.vector.tobytes())
+                    for n, est in profile]
+
+        want = record(norm_growth_profile(m, alpha, beta, sizes))
+        for offset in range(1, 8):
+            def shifted(op, tol, start, *, ritz_vector, buffer, offset=offset):
+                moved = np.empty(buffer.size + offset)[offset:]
+                return section_norm(op, tol, start, ritz_vector=ritz_vector, buffer=moved)
+
+            monkeypatch.setattr(operators, "section_norm", shifted)
+            assert record(norm_growth_profile(m, alpha, beta, sizes)) == want, offset
+
     def test_profile_memory_peak(self):
         # One block of 4 * 2^14 + 3 * 2^13 entries, the largest section's
         # moments and weights, and the vectors the profile returns: the
-        # traced peak read 9.56 N doubles (8.00 with a set of buffers per
+        # traced peak read 9.60 N doubles (8.00 with a set of buffers per
         # size); 7 rows of 2^14 would pass 11.
         sizes = [1 << k for k in range(10, 15)]
         norm_growth_profile(LEB, S1, S1, sizes)
