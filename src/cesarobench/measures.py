@@ -431,16 +431,18 @@ def dyadic_grid(n_max: int) -> list[int]:
 # Integration-by-parts cross-check
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 # Panel edges in u = t^n, in increasing order and dyadic toward both ends.
 # Toward 0 they resolve the large-n integrand, which varies with log(1/u) / n;
-# toward 1 they resolve the tail's (1-t)^(gamma+1) endpoint.  On 36 measures
-# at 81 values of n up to 2^20, dropping the edges toward 0 broke the 1e-7
-# contract on 2336 values and dropping those toward 1 on 649; depth 30 at
-# both ends gave a worst error of 4e-9 against mpmath, 45 gave 1.8e-11, and
-# 52 gave nothing more.  Listed in order, not through np.unique, whose first
-# call raised a process's peak RSS by 128 KB.
+# toward 1 they resolve the tail's (1-t)^(gamma+1) endpoint.  With 12 points
+# a panel, on the default panel's 23 measures with a density and 6 edge
+# cases, at n = 1..64 and every 2^k and 2^k - 1 up to 2^20 (2,668 moments),
+# dropping the edges toward 0 broke the 1e-7 contract on 2504 values and
+# dropping those toward 1 on 1243; depth 30 at both ends gave a worst error
+# of 4.6e-9 against mpmath, 45 gave 1.35e-11, and 52 gave nothing more.
+# Listed in order, not through np.unique, whose first call raised a
+# process's peak RSS by 128 KB.
 _PANEL_DEPTH = 45
 _U_EDGES = np.array(
     [0.0]
@@ -466,9 +468,12 @@ def moment_by_parts(m: Measure, n: int) -> float:
 
     The substitution u = t^n turns this into int_0^1 mu([u^{1/n},1)) du,
     whose integrand is bounded by the total mass and carries no weight
-    that depends on n, so one fixed node set serves every n: 24-point
+    that depends on n, so one fixed node set serves every n: 12-point
     Gauss-Legendre on panels with edges 0, 1, 2^-j and 1 - 2^-j for
-    j = 1.._PANEL_DEPTH, built once at import.  Each atom adds the area
+    j = 1.._PANEL_DEPTH, built once at import.  Rounding, not the rule's
+    order, sets the error: on the measures of the _PANEL_DEPTH comment the
+    worst against mpmath was 1.35e-11 up to n = 2^20 (1.78e-11 with 24
+    points) and 6.1e-8 up to 2^32 at either order.  Each atom adds the area
     mass * t0^n of its step in u in closed form, as moment() does, so the
     densities' quadrature alone is an independent cross-check of moment().
     The density tails at the nodes come from the same term loop as

@@ -563,6 +563,19 @@ class TestReportSerialization:
 
 
 class TestEstRatioCheck:
+    def test_points_share_one_scratch_array(self) -> None:
+        # The indices, their powers and one scratch array for every t: a
+        # temporary per point would be a fourth array at the traced peak.
+        ts = [0.05 + 0.09 * i for i in range(10)]
+        est_ratio_check(1.0, ts, 60000)
+        tracemalloc.start()
+        try:
+            est_ratio_check(1.0, ts, 60000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * 60000 * 8
+
     def test_closed_forms(self) -> None:
         ts = [0.5, 0.9, 0.99]
         # c = 1 and c = 2 both collapse to rho(t) = t^2.
@@ -613,8 +626,8 @@ class TestEstRatioCheck:
 
 
 def _prop1_reference(alpha: float, n: int) -> Prop1Bound:
-    """prop1_bound_check with a separate array for the sweep's indices, its
-    weights and its reversed suffix sums."""
+    """prop1_bound_check as its docstring states it, with a separate array
+    for the indices, the weights and the reversed suffix sums."""
     op = SectionOp(Measure.lebesgue(), SpaceIndex(alpha), SpaceIndex(alpha), n)
     value = section_norm(op).value
     bound = math.sqrt(2.0 * (2.0 + alpha)) / alpha
@@ -622,14 +635,27 @@ def _prop1_reference(alpha: float, n: int) -> Prop1Bound:
     lhs_prefix = np.cumsum(idx ** (-(2.0 - alpha) / 2.0))
     rhs_prefix = (2.0 / alpha) * idx ** (alpha / 2.0)
     prefix_max = float(np.max(lhs_prefix / rhs_prefix))
-    cutoff = 64 * n
-    tail_idx = np.arange(1, cutoff + 1, dtype=float)
-    weights = tail_idx ** (-(2.0 + alpha) / 2.0)
+    weights = idx ** (-(2.0 + alpha) / 2.0)
     suffix = np.cumsum(weights[::-1])[::-1]
-    remainder = (2.0 / alpha) * (cutoff + 1.0) ** (-alpha / 2.0)
-    lhs_suffix = idx ** (alpha / 2.0) * (suffix[: n + 1] + remainder)
+    tail = (2.0 / alpha) * (n + 1.5) ** (-alpha / 2.0)
+    lhs_suffix = idx ** (alpha / 2.0) * (suffix + tail)
     suffix_max = float(np.max(lhs_suffix)) / ((2.0 + alpha) / alpha)
     return Prop1Bound(value, bound, prefix_max, suffix_max)
+
+
+def _exact_suffix_ratio(alpha: float, n: int):
+    """max_{k<=n+1} k^(alpha/2) zeta(p, k) / ((2+alpha)/alpha), p =
+    (2+alpha)/2, at 30 digits: zeta(p, k) is the Hurwitz zeta value
+    zeta(p) minus the terms below k."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        p = (2 + a) / 2
+        rest = mpmath.zeta(p)
+        best = mpmath.mpf(0)
+        for k in range(1, n + 2):
+            best = max(best, mpmath.mpf(k) ** (a / 2) * rest)
+            rest -= mpmath.mpf(k) ** -p
+        return best / ((2 + a) / a)
 
 
 class TestProp1BoundCheck:
@@ -656,15 +682,27 @@ class TestProp1BoundCheck:
         assert result.prefix_max_ratio == pytest.approx(worst, rel=1e-12)
 
     def test_tail_sum_inequality_brute_force(self) -> None:
-        # Suffix sums plus the integral remainder dominate the true tail.
+        # Suffix sums plus the midpoint tail dominate the true tail.
         alpha = 1.0
         result = prop1_bound_check(alpha, 64)
         bound = (2.0 + alpha) / alpha
-        # k = 0 is the worst index: the sum is a zeta-like tail.
+        # k = 0 is the worst index: the sum is zeta(3/2).
         lhs = sum((n + 1.0) ** (-(2.0 + alpha) / 2.0) for n in range(200000))
         assert lhs <= bound
+        exact = float(mpmath.zeta(1.5)) / bound
+        assert exact == pytest.approx(float(_exact_suffix_ratio(alpha, 64)), rel=1e-15)
+        # At n = 64 the midpoint tail reads 6.9e-7 relative above it.
+        assert exact <= result.suffix_max_ratio <= exact * (1.0 + 2e-6)
         assert result.suffix_max_ratio <= 1.0
-        assert result.suffix_max_ratio == pytest.approx(lhs / bound, rel=1e-2)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.6])
+    def test_suffix_ratio_bounds_the_exact_ratio(self, alpha: float) -> None:
+        # The midpoint tail is an upper bound, so the reported ratio is at
+        # least the exact one, by 3e-12 to 1.2e-10 relative at n = 4096.
+        got = prop1_bound_check(alpha, 4096).suffix_max_ratio
+        exact = _exact_suffix_ratio(alpha, 4096)
+        assert got >= exact, (alpha, got, exact)
+        assert got - exact <= 1e-8, (alpha, got, exact)
 
     def test_value_and_bound_fields(self) -> None:
         result = prop1_bound_check(1.0, 128)
@@ -677,18 +715,19 @@ class TestProp1BoundCheck:
         want = astuple(_prop1_reference(alpha, 4096))
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
-    def test_sweep_holds_one_array(self) -> None:
-        # The 64 n suffix sweep is one array of 64 n doubles; with a
-        # separate array for the indices, the weights and the reversed
-        # sums the traced peak read 3.1 times that, and in place 1.14.
-        prop1_bound_check(0.9, 4096)
+    def test_sweep_holds_a_few_section_arrays(self) -> None:
+        # The sweep needs arrays of n + 1 doubles only.  The traced peak
+        # read 8.1 of them at n = 4096, 7.6 from the section norm and its
+        # SectionOp; a sweep over 64 n terms would peak near 73.
+        n = 4096
+        prop1_bound_check(0.9, n)
         tracemalloc.start()
         try:
-            prop1_bound_check(0.9, 4096)
+            prop1_bound_check(0.9, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 64 * 4096 * 8
+        assert peak <= 10 * (n + 1) * 8
 
     def test_validation(self) -> None:
         with pytest.raises(ValueError):

@@ -801,7 +801,7 @@ def test_reports_ignore_blas_threads(tmp_path):
     # the same bytes under both thread counts too; every norm in the
     # reports goes through them.  The paper checks print too:
     # est_ratio_check reduces its 60,000-term series with BLAS np.dot, and
-    # prop1_bound_check runs a section norm and a 64 n suffix sweep.
+    # prop1_bound_check runs a section norm and an n + 1 term suffix sweep.
     config = tmp_path / "panel.ini"
     config.write_text(
         "[panel]\n"
