@@ -304,7 +304,7 @@ def classify_compactness(m: Measure, alpha: float, beta: float) -> Verdict:
     evidence = tuple((float(mm), v) for mm, v in zip(COMPACT_TRUNCATIONS, tails))
 
     slope, stderr = _trend([math.log(mm) for mm in COMPACT_TRUNCATIONS], tails)
-    if full == 0.0 or slope == -math.inf:
+    if slope == -math.inf:
         return Verdict("compactness", "vanishing", evidence, -math.inf, 0.0)
     level = tails[-1] / full
     if abs(slope - COMPACT_SLOPE_THRESHOLD) <= stderr:

@@ -25,10 +25,11 @@ It runs on the row weights in
 their power-of-two frame, which _frame describes.
 Iteration stops once two successive Ritz values differ by less than the
 requested relative tolerance (TOL by default) or after MAX_ITER steps.  A
-norm profile reads prefixes of its largest section's moments and weights,
-and starts each size from the previous size's top Ritz vector, since
-nested sections have nearly the same top singular vector.  hardy_constant
-brackets a norm from two prefix sums in the same frame: B <= norm <= 2B.
+section keeps only its column and row weights, not the moments: a norm
+profile reads prefixes of its largest section's weights, and starts each
+size from the previous size's top Ritz vector, since nested sections have
+nearly the same top singular vector.  hardy_constant brackets a norm from
+two prefix sums in the same frame: B <= norm <= 2B.
 """
 
 from __future__ import annotations
@@ -82,13 +83,14 @@ class SectionOp:
     alpha and beta must lie in (0, 2), the range of the characterizations,
     size must be a positive integer and first_row an integer in [0, size].
 
-    `moments` holds mu_0, ..., mu_{size-1} and `weights` the pair
-    (w_in, w_row) of column weights (k+1)^(-(1-alpha)/2) and row weights
-    (n+1)^((1-beta)/2) mu_n, inf past the double range; each left out is
-    computed here.  A caller holding either at some N >= size may pass it;
+    `weights` is the pair (w_in, w_row) of column weights
+    (k+1)^(-(1-alpha)/2) and row weights (n+1)^((1-beta)/2) mu_n, inf past
+    the double range, the only arrays a section keeps; left out, it is
+    computed here, w_row in moment_sequence's own array and w_in in the
+    index array.  A caller holding the pair at some N >= size may pass it;
     the section keeps read-only views of the first `size` entries, so
     nested sections and the tail sections made through dataclasses.replace
-    share one set of arrays.
+    share one pair.
     """
 
     measure: Measure
@@ -96,7 +98,6 @@ class SectionOp:
     beta: SpaceIndex
     size: int
     first_row: int = 0
-    moments: np.ndarray | None = field(default=None, repr=False, compare=False)
     weights: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -106,19 +107,15 @@ class SectionOp:
         object.__setattr__(
             self, "first_row", _integer(self.first_row, "first row", 0, self.size)
         )
-        moments = self.moments
-        if moments is None:
-            moments = moment_sequence(self.measure, self.size)
-        moments = _prefix(moments, self.size, "moments")
         if self.weights is None:
             idx = np.arange(1, self.size + 1, dtype=float)
-            w_in = idx ** (-(1.0 - self.alpha.alpha) / 2.0)
+            w_row = moment_sequence(self.measure, self.size)
             with np.errstate(over="ignore"):
-                w_row = idx ** ((1.0 - self.beta.alpha) / 2.0) * moments
+                w_row *= idx ** ((1.0 - self.beta.alpha) / 2.0)
+            w_in = np.power(idx, -(1.0 - self.alpha.alpha) / 2.0, out=idx)
         else:
             w_in, w_row = self.weights
         weights = (_prefix(w_in, self.size, "w_in"), _prefix(w_row, self.size, "w_row"))
-        object.__setattr__(self, "moments", moments)
         object.__setattr__(self, "weights", weights)
 
 
@@ -179,16 +176,18 @@ class OpNormEstimate:
 def apply(op: SectionOp, f: CoeffVec) -> CoeffVec:
     """Image of f under the section: out_n = mu_n * (a_0 + ... + a_n).
 
-    Computed with one running prefix sum, in the same left-to-right
-    addition order as the literal double loop, so the two agree bitwise.
-    Output has length op.size with zeros below op.first_row.
+    The moments come from moment_sequence, since a section keeps only its
+    weights.  Computed with one running prefix sum, in the same
+    left-to-right addition order as the literal double loop, so the two
+    agree bitwise.  Output has length op.size with zeros below
+    op.first_row.
     """
     a = f.coeffs
     if a.size > op.size:
         raise ValueError(f"input length {a.size} exceeds section size {op.size}")
     padded = np.zeros(op.size)
     padded[: a.size] = a
-    out = op.moments * np.cumsum(padded)
+    out = moment_sequence(op.measure, op.size) * np.cumsum(padded)
     out[: op.first_row] = 0.0
     return CoeffVec(out)
 
@@ -450,15 +449,15 @@ def norm_growth_profile(
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
 
-    # Sections are nested, so every size reads prefixes of the moments and
-    # weights of the largest.
+    # Sections are nested, so every size reads prefixes of the weights of
+    # the largest.
     top = SectionOp(measure, alpha, beta, sizes[-1])
     # One block serves every size, each in a prefix of it: four rows of the
     # largest size, which builds no Ritz vector, plus RITZ_TERMS rows of the
     # one before it.  The gain is in its being one block, and a large one.
     # Freeing an mmapped block of 4 MB or more (top size 2^17 and up) lifts
     # glibc's dynamic mmap threshold to its size and the trim threshold to
-    # twice that (mallopt(3)), so the moments, weights and blocks of later
+    # twice that (mallopt(3)), so the weights and blocks of later
     # profiles come from a heap that is no longer handed back to the
     # kernel as long as it stays under twice the block.  On glibc 2.36 a
     # round of six 2^10..2^17 profiles then takes about 10 minor page

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cesarobench.cli import build_panel, default_config
+from cesarobench.measures import moment_sequence
 
 # Exponent pairs (gamma, delta) of every density on the default panel.
 PANEL_EXPONENTS = sorted(
@@ -51,10 +52,11 @@ def worst_moment_error(m, seq) -> float:
 def conjugation_weights(op):
     """Column weights (k+1)^(-(1-alpha)/2) and row weights
     (n+1)^((1-beta)/2) mu_n, zero below op.first_row, written out from the
-    formula rather than taken from operators."""
+    formula and moment_sequence rather than taken from operators."""
     idx = np.arange(1, op.size + 1, dtype=float)
     w_in = idx ** (-(1.0 - op.alpha.alpha) / 2.0)
-    w_out = idx ** ((1.0 - op.beta.alpha) / 2.0) * op.moments
+    mu = moment_sequence(op.measure, op.size)
+    w_out = idx ** ((1.0 - op.beta.alpha) / 2.0) * mu
     w_out[: op.first_row] = 0.0
     return w_in, w_out
 

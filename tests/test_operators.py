@@ -41,13 +41,14 @@ S1 = SpaceIndex(1.0)
 
 
 def brute_force_apply(op: SectionOp, f: np.ndarray) -> np.ndarray:
+    mu = moment_sequence(op.measure, op.size)
     out = np.zeros(op.size)
     for n in range(op.size):
         acc = 0.0
         for k in range(min(n + 1, f.size)):
             acc += f[k]
         if n >= op.first_row:
-            out[n] = op.moments[n] * acc
+            out[n] = mu[n] * acc
     return out
 
 
@@ -154,19 +155,57 @@ def three_panel_entries(pairs):
 
 class TestSectionOp:
     def test_moments_match_measure(self):
-        # A section's moments come from moment_sequence, within 1e-12 of
-        # mpmath up to 2^20 on each panel exponent pair and the two where a
-        # plain quotient recurrence drifts.
+        # At beta = 1 the row weights (n+1)^0 mu_n are the moments, which
+        # come from moment_sequence, within 1e-12 of mpmath up to 2^20 on
+        # each panel exponent pair and the two where a plain quotient
+        # recurrence drifts.
         size = SEQUENCE_NS[-1] + 1
         for gamma, delta in SEQUENCE_EXPONENTS:
             m = Measure.powlaw(1.0, gamma, delta)
             op = SectionOp(m, S1, S1, size)
-            assert worst_moment_error(m, op.moments) <= 1e-12, (gamma, delta)
+            assert np.array_equal(op.weights[1], moment_sequence(m, size))
+            assert worst_moment_error(m, op.weights[1]) <= 1e-12, (gamma, delta)
 
     def test_moments_read_only(self):
+        # A section keeps no moments of its own; its two weight arrays, the
+        # moments among them at beta = 1, are read-only.
         op = SectionOp(LEB, S1, S1, 4)
-        with pytest.raises(ValueError):
-            op.moments[0] = 2.0
+        for w in op.weights:
+            with pytest.raises(ValueError):
+                w[0] = 2.0
+        assert not hasattr(op, "moments")
+
+    @pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 1.5, 1.9])
+    def test_weights_equal_the_formula_bitwise(self, a):
+        # The weights built in place, w_row in moment_sequence's array and
+        # w_in in the index array, are those of the allocating expressions
+        # bit for bit, at every pair of indices on the grid, with a row
+        # weight past the double range inf as before.
+        for expr in ("lebesgue", "atom(0.5,1.0)", "atom(0.99999,1.7e308)",
+                     "atom(0.9,0.25)+powlaw(c=0.5,gamma=0.5,delta=1)"):
+            for b in (0.1, 0.5, 1.0, 1.5, 1.9):
+                op = SectionOp(parse_measure(expr), SpaceIndex(a), SpaceIndex(b), 4099)
+                with np.errstate(over="ignore"):
+                    want = conjugation_weights(op)
+                for got, w in zip(op.weights, want):
+                    assert got.tobytes() == w.tobytes(), (expr, a, b)
+
+    def test_build_memory_peak(self):
+        # A build holds the row weights in moment_sequence's own array, the
+        # index array that becomes w_in and one power temporary: the traced
+        # peak of a 2^14 build read 3.02 N doubles, where keeping the
+        # moments as a third array read 5.01.
+        m = parse_measure("powlaw(c=1,gamma=0.25,delta=0)")
+        alpha, beta = SpaceIndex(1.5), SpaceIndex(0.5)
+        n = 1 << 14
+        SectionOp(m, alpha, beta, n)
+        tracemalloc.start()
+        try:
+            SectionOp(m, alpha, beta, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * n
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -187,16 +226,8 @@ class TestSectionOp:
                 SectionOp(LEB, S1, S1, 8, first_row=row)
         assert type(SectionOp(LEB, S1, S1, 8, first_row=np.int64(3)).first_row) is int
 
-    def test_given_moments_are_a_read_only_prefix_view(self):
+    def test_given_weights_are_read_only_prefix_views(self):
         m = parse_measure("atom(0.5,0.5)+powlaw(c=1,gamma=0,delta=0)")
-        seq = moment_sequence(m, 64)
-        op = SectionOp(m, S1, S1, 16, moments=seq)
-        assert np.shares_memory(op.moments, seq)
-        assert op.moments.shape == (16,)
-        assert np.array_equal(op.moments, SectionOp(m, S1, S1, 16).moments)
-        with pytest.raises(ValueError):
-            op.moments[0] = 2.0
-        assert seq.flags.writeable
         # Nested and tail sections read prefixes of the weights of the
         # section they derive from, bit-identical to those of a fresh build.
         alpha, beta = SpaceIndex(0.5), SpaceIndex(1.5)
@@ -217,10 +248,10 @@ class TestSectionOp:
         assert w_in.flags.writeable and w_row.flags.writeable
 
     def test_short_moment_array_rejected(self):
-        with pytest.raises(ValueError, match="moments"):
-            SectionOp(LEB, S1, S1, 8, moments=moment_sequence(LEB, 7))
-        with pytest.raises(ValueError, match="moments"):
-            SectionOp(LEB, S1, S1, 8, moments=np.ones((8, 1)))
+        # A section takes no moments, of any length.
+        for seq in (moment_sequence(LEB, 7), moment_sequence(LEB, 8)):
+            with pytest.raises(TypeError, match="moments"):
+                SectionOp(LEB, S1, S1, 8, moments=seq)
         good = np.ones(8)
         for bad in (np.ones(7), np.ones((8, 1))):
             with pytest.raises(ValueError, match="w_in"):
@@ -318,14 +349,15 @@ class TestTailSection:
         assert np.all(apply(tail_section(op, 7), f).coeffs == 0.0)
         assert section_norm(tail_section(op, 7)).value == 0.0
 
-    def test_shares_the_parent_moments(self):
+    def test_shares_the_parent_weights(self):
         op = SectionOp(LEB, SpaceIndex(0.5), SpaceIndex(1.5), 64)
         nested = tail_section(tail_section(op, 40), 10)
         assert nested.first_row == 41
         for derived in (tail_section(op, 20), nested):
-            assert np.shares_memory(derived.moments, op.moments)
-            assert np.array_equal(derived.moments, op.moments)
-            assert not derived.moments.flags.writeable
+            for got, parent in zip(derived.weights, op.weights):
+                assert np.shares_memory(got, parent)
+                assert np.array_equal(got, parent)
+                assert not got.flags.writeable
 
     def test_range_errors(self):
         op = SectionOp(LEB, S1, S1, 4)
@@ -343,11 +375,13 @@ class TestSectionNorm:
             est = section_norm(op)
             assert est.method == "lanczos"
             # One step closes the Krylov space, so the value is step 1's,
-            # LAPACK's 1 x 1 eigenvalue alpha_1^2, bit for bit.
-            assert (est.value, est.iterations, est.residual) == (op.moments[0], 1, 0.0)
+            # LAPACK's 1 x 1 eigenvalue alpha_1^2, bit for bit: the first
+            # moment, as both weights are 1 at n = k = 0.
+            mu_0 = moment_sequence(LEB, 1)[0]
+            assert (est.value, est.iterations, est.residual) == (mu_0, 1, 0.0)
             assert est.value == pytest.approx(1.0, rel=1e-12)
 
-    def test_power_matches_svd_small(self, dense_norm):
+    def test_lanczos_matches_svd_small(self, dense_norm):
         for expr, a, b in (
             ("lebesgue", 1.0, 1.0),
             ("atom(0.5,1.0)", 0.5, 1.5),
@@ -375,7 +409,7 @@ class TestSectionNorm:
                 want = dense_norm(op)
                 assert est.value == pytest.approx(want, rel=1e-10), (name, a, b, n)
 
-    def test_power_matches_svd_at_2048(self, dense_norm):
+    def test_lanczos_matches_svd_at_2048(self, dense_norm):
         op = SectionOp(LEB, S1, S1, 2048)
         pw = section_norm(op, tol=1e-9)
         assert pw.method == "lanczos"
@@ -423,7 +457,7 @@ class TestSectionNorm:
         # size-8192 tails above M = 16 and 512.
         for name, m, a, b in build_panel(default_config()):
             big = SectionOp(m, SpaceIndex(a), SpaceIndex(b), 8192)
-            small = SectionOp(m, SpaceIndex(a), SpaceIndex(b), 64, moments=big.moments)
+            small = replace(big, size=64)
             for op in (small, big, tail_section(big, 16), tail_section(big, 512)):
                 est = section_norm(op)
                 want = reference_section_norm(op)[:3]
@@ -534,9 +568,8 @@ class TestSectionNorm:
     def test_warm_start_from_a_size_that_does_not_divide(self, dense_norm):
         m = parse_measure("atom(0.9,0.25)+powlaw(c=0.5,gamma=0.5,delta=1)")
         alpha, beta = SpaceIndex(1.5), SpaceIndex(0.5)
-        seq = moment_sequence(m, 100)
-        prev = section_norm(SectionOp(m, alpha, beta, 64, moments=seq), ritz_vector=True)
-        op = SectionOp(m, alpha, beta, 100, moments=seq)
+        op = SectionOp(m, alpha, beta, 100)
+        prev = section_norm(replace(op, size=64), ritz_vector=True)
         warm = section_norm(op, start=prev.vector, ritz_vector=True)
         cold = section_norm(op)
         assert warm.vector.shape == (100,)
@@ -690,11 +723,12 @@ class TestGrowthProfile:
         assert buffers[0].shape == (4 * 4096 + operators.RITZ_TERMS * 1024,)
         for op, (n, est) in zip(seen, prof):
             fresh = SectionOp(m, alpha, beta, n)
-            assert np.array_equal(op.moments, fresh.moments)
+            for got, want, top in zip(op.weights, fresh.weights, seen[-1].weights):
+                assert np.array_equal(got, want)
+                assert np.shares_memory(got, top)
             # Larger sizes start warm, so they agree with a cold start to
             # the tolerance, not bitwise.
             assert est.value == pytest.approx(section_norm(fresh).value, rel=1e-8)
-            assert np.shares_memory(op.moments, seen[-1].moments)
 
     def test_warm_profile_saves_iterations_and_stays_bracketed(self, dense_norm):
         warm_iterations = cold_iterations = 0
@@ -762,9 +796,8 @@ class TestGrowthProfile:
 
     def test_profile_memory_peak(self):
         # One block of 4 * 2^14 + 3 * 2^13 entries, the largest section's
-        # moments and weights, and the vectors the profile returns: the
-        # traced peak read 9.60 N doubles (8.00 with a set of buffers per
-        # size); 7 rows of 2^14 would pass 11.
+        # two weight vectors, and the vectors the profile returns: the
+        # traced peak read 8.61 N doubles; 7 rows of 2^14 would pass 11.
         sizes = [1 << k for k in range(10, 15)]
         norm_growth_profile(LEB, S1, S1, sizes)
         tracemalloc.start()
