@@ -575,7 +575,7 @@ def prop1_bound_check(alpha: float, n: int = 4096) -> Prop1Bound:
     over all indices up to n.
 
     The suffix sums of k^(-p), p = (2+alpha)/2, are summed over k <= n+1
-    by one reversed cumsum in place.  Past n+1 each k^(-p) is at most
+    by one reversed cumsum.  Past n+1 each k^(-p) is at most
     int_{k-1/2}^{k+1/2} x^(-p) dx, since x^(-p) is convex
     (Hermite-Hadamard), so the tail adds int_{n+3/2}^inf x^(-p) dx =
     (2/alpha)(n+3/2)^(-alpha/2), an upper bound.  At n = 4096 each suffix
@@ -592,9 +592,8 @@ def prop1_bound_check(alpha: float, n: int = 4096) -> Prop1Bound:
     rhs_prefix = (2.0 / alpha) * idx ** (alpha / 2.0)
     prefix_max = float(np.max(lhs_prefix / rhs_prefix))
 
-    suffix = idx ** (-(2.0 + alpha) / 2.0)
-    np.cumsum(suffix[::-1], out=suffix[::-1])
-    suffix += (2.0 / alpha) * (n + 1.5) ** (-alpha / 2.0)
-    suffix *= idx ** (alpha / 2.0)
+    suffix = np.cumsum((idx ** (-(2.0 + alpha) / 2.0))[::-1])[::-1]
+    tail = (2.0 / alpha) * (n + 1.5) ** (-alpha / 2.0)
+    suffix = (suffix + tail) * idx ** (alpha / 2.0)
     suffix_max = float(np.max(suffix)) / ((2.0 + alpha) / alpha)
     return Prop1Bound(value, bound, prefix_max, suffix_max)

@@ -251,41 +251,35 @@ def tail_values(m: Measure, ts) -> np.ndarray:
     """mu([t,1)) for an array of thresholds t in [0,1); vectorized.
 
     The atoms' steps are summed first, then each density's tail is added
-    in term order (_add_density_tails); a 0-d threshold gives a 0-d array.
+    in term order (_add_density_tails).  The thresholds are worked on as a
+    flat array, so a 0-d threshold gives a 0-d array with the bits of the
+    array routines, not of numpy's scalar ones.
     """
     ts = np.asarray(ts, dtype=float)
     # Written so that a NaN threshold fails the check as well.
     if not np.all((ts >= 0.0) & (ts < 1.0)):
         raise ValueError("tail threshold must lie in [0,1)")
-    out = np.zeros_like(ts) if m.atoms or not m.densities else None
+    flat = ts.reshape(-1)
+    out = np.zeros_like(flat) if m.atoms or not m.densities else None
     for t0, mass in m.atoms:
-        out += np.where(t0 >= ts, mass, 0.0)
-    return _add_density_tails(m.densities, ts, out)
+        out += np.where(t0 >= flat, mass, 0.0)
+    return _add_density_tails(m.densities, flat, out).reshape(ts.shape)
 
 
 def _add_density_tails(densities, ts: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """Add each density's tail mu([t,1)) at the thresholds ts into out.
+    """Add each density's tail mu([t,1)) at the thresholds ts to out.
 
-    ts must already be a float array in [0,1).  Each term is formed in one
-    scratch array by in-place ufuncs (Horner's polynomial in one more), in
-    the order of the plain expressions ((c (1-t)^a) / a) poly and
-    (c full) betainc, so it has their bits.
-    With out None the first term becomes the sum: every term is >= +0, so
-    it equals 0 + term exactly.
+    ts must already be a float array in [0,1).  With out None the first
+    term becomes the sum: every term is >= +0, so it equals 0 + term
+    exactly.
     """
-    scratch = horner = None
     for c, gamma, delta in densities:
-        if out is None:
-            term = np.empty_like(ts)
-        else:
-            term = scratch = np.empty_like(ts) if scratch is None else scratch
         # The errors quoted here are against mpmath at this float a.  A
         # gamma whose sum with 1 rounds adds about |ln(1 - t)| ulp(a)
         # relative, since (1 - t)^a moves by that much: against the exact
         # gamma, over np.linspace(-0.9, 2.5, 18) and t up to 1 - 2^-52, the
         # worst was 4.3e-15.
         a = gamma + 1.0
-        np.subtract(1.0, ts, out=term)
         if float(delta).is_integer() and delta <= _SERIES_DELTA_MAX:
             # For integer delta = d, DLMF 8.17(iv) gives int_t^1 (1-u)^gamma
             # u^d du = ((1-t)^a / a) sum_{j<=d} e_j t^j, e_d = a/(a+d) and
@@ -295,17 +289,11 @@ def _add_density_tails(densities, ts: np.ndarray, out: np.ndarray | None) -> np.
             p, q = a.as_integer_ratio()
             num, den = p, p + int(delta) * q
             poly = num / den
-            if delta and horner is None:
-                horner = np.empty_like(ts)
             for j in range(int(delta) - 1, -1, -1):
                 num *= (j + 1) * q
                 den *= p + j * q
-                poly = np.multiply(poly, ts, out=horner)
-                poly += num / den
-            term **= a
-            term *= c
-            term /= a
-            term *= poly
+                poly = poly * ts + num / den
+            term = c * (1.0 - ts) ** a / a * poly
         else:
             # B(delta+1, a) I_{1-t}(a, delta+1), the mirrored complement of
             # I_t(delta+1, a) (DLMF 8.17.4), about 8x faster than betaincc;
@@ -313,12 +301,8 @@ def _add_density_tails(densities, ts: np.ndarray, out: np.ndarray | None) -> np.
             # gamma in [-0.9, 2.5], delta in {0.5, 1, 3} and t up to
             # 1 - 2^-52, the worst relative error was 5.2e-15.
             full = math.exp(_sp.betaln(delta + 1.0, a))
-            _sp.betainc(a, delta + 1.0, term, term)  # in place: out = term
-            term *= c * full
-        if out is None:
-            out = term
-        else:
-            out += term
+            term = c * full * _sp.betainc(a, delta + 1.0, 1.0 - ts)
+        out = term if out is None else out + term
     return out
 
 
@@ -337,9 +321,15 @@ def moments_at(m: Measure, ns) -> np.ndarray:
     passes ~1e308, which would turn the quotient into inf, nan or a
     spurious 0; those entries fall back to exp(betaln), whose cancellation
     costs at most ~1e-9 relative.  Each entry is computed on its own, so
-    the result at n does not depend on the rest of ns, bit for bit.
+    the result at n does not depend on the rest of ns, bit for bit.  An
+    order below 0, or NaN, raises ValueError.
     """
-    ns = np.asarray(ns, dtype=float)
+    given = np.asarray(ns)
+    ns = np.asarray(given, dtype=float)
+    # Written so that a NaN order fails the check as well.
+    bad = ~(ns >= 0.0)
+    if bad.any():
+        raise ValueError(f"moment index must be >= 0, got {given[bad][0].item()!r}")
     total = _atom_moments(m.atoms, ns)
     for c, gamma, delta in m.densities:
         total += _density_moments(c, gamma, delta, ns)
@@ -373,8 +363,6 @@ def _atom_moments(atoms, ns: np.ndarray) -> np.ndarray:
 
 def moment(m: Measure, n: int) -> float:
     """n-th moment: integral of t^n against the measure, n >= 0."""
-    if n < 0:
-        raise ValueError(f"moment index must be >= 0, got {n!r}")
     return float(moments_at(m, [n])[0])
 
 
@@ -396,14 +384,9 @@ def moment_sequence(m: Measure, count: int) -> np.ndarray:
     """
     ns = np.arange(count, dtype=float)
     total = _atom_moments(m.atoms, ns) if m.atoms or not m.densities else None
-    scratch = None
     for c, gamma, delta in m.densities:
-        if total is None:
-            term = np.empty_like(ns)
-        else:
-            term = scratch = np.empty_like(ns) if scratch is None else scratch
         b = gamma + 1.0
-        np.add(ns, delta + b, out=term)
+        term = ns + (delta + b)
         np.divide(b, term, out=term)
         np.subtract(1.0, term, out=term)
         term[:1] = _density_moments(c, gamma, delta, ns[:1])
@@ -493,8 +476,6 @@ def moment_by_parts(m: Measure, n: int) -> float:
         return float(steps)
     # Nodes near u = 1 can round t up to 1.0 exactly; keep them strictly
     # inside the domain of the tail.
-    ts = np.power(_U_NODES, 1.0 / n)
-    np.minimum(ts, _BELOW_ONE, out=ts)
+    ts = np.minimum(np.power(_U_NODES, 1.0 / n), _BELOW_ONE)
     tails = _add_density_tails(m.densities, ts, None)
-    tails *= _U_WEIGHTS
-    return float(steps + np.sum(tails))
+    return float(steps + np.sum(tails * _U_WEIGHTS))

@@ -281,6 +281,19 @@ class TestTail:
         mirrored = tail_values(m3, self.TS)
         assert mirrored == pytest.approx(series, rel=1e-14, abs=0.0)
 
+    def test_scalar_threshold_has_the_array_bits(self):
+        # numpy's scalar pow differs from its array pow in the last bit for
+        # some inputs, so a 0-d threshold must go through the array route.
+        ts = np.random.default_rng(3).random(400)
+        for expr in (
+            "powlaw(c=1.7,gamma=0.3,delta=2)+powlaw(c=0.5,gamma=-0.5,delta=0.5)",
+            "atom(0.5,1)+powlaw(c=1,gamma=1.3,delta=0)",
+        ):
+            m = parse_measure(expr)
+            want = tail_values(m, ts)
+            got = np.array([tail_values(m, np.float64(t)) for t in ts])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), expr
+
     def test_domain(self):
         with pytest.raises(ValueError):
             tail_values(Measure.lebesgue(), [0.5, 1.0])
@@ -315,9 +328,9 @@ def _tail_reference(m: Measure, ts) -> np.ndarray:
     return out
 
 
-class TestTailInPlace:
-    """tail_values forms each term in place, with the bits of the plain
-    one-expression formula, on every route and threshold shape."""
+class TestTailBits:
+    """tail_values has the bits of the plain one-expression formula, summed
+    from zeros, on every route and threshold shape."""
 
     DELTAS = (0.0, 1.0, 3.0, 64.0, 65.0, 0.5)
     # gamma = -0.5 and 1.0 make a = 0.5 and 2.0, the exponents that numpy
@@ -382,6 +395,31 @@ class TestMoment:
         m = Measure.atom(0.0, 2.0)
         assert moment(m, 0) == 2.0
         assert moment(m, 1) == 0.0
+
+    @pytest.mark.parametrize("order", [-1, -0.5, math.nan])
+    def test_orders_outside_the_domain_raise(self, order):
+        # moments_at checks its domain for moment too: below 0 the atom's
+        # power and the densities' poch would give inf, 3.414... or nan.
+        m = parse_measure("atom(0.5,1)+lebesgue")
+        for ns in ([order], [0, 3, order, 5], np.array([2.0, order])):
+            with pytest.raises(ValueError, match=f"moment index must be >= 0, got {order!r}"):
+                moments_at(m, ns)
+        with pytest.raises(ValueError, match=f"moment index must be >= 0, got {order!r}"):
+            moment(m, order)
+
+    def test_moment_sequence_of_a_mixture_is_the_sum_of_its_parts(self):
+        # Atoms first, then each density's term, added left to right.
+        count = 1 << 17
+        atoms = ((0.5, 1.0), (0.9, 0.25))
+        densities = ((1.0, 0.0, 0.0), (0.5, 0.3, 1.0), (0.2, -0.4, 2.5))
+        for with_atoms in (atoms, ()):
+            parts = [Measure(atoms=with_atoms)] if with_atoms else []
+            parts += [Measure(densities=(d,)) for d in densities]
+            want = moment_sequence(parts[0], count)
+            for part in parts[1:]:
+                want = want + moment_sequence(part, count)
+            got = moment_sequence(Measure(atoms=with_atoms, densities=densities), count)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), with_atoms
 
     def test_moment_sequence_matches_pointwise(self):
         # The sequence's ratio recurrence keeps every entry within 1e-12 of
