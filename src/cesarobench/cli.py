@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -341,9 +342,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The parser main reuses: parse_args starts every call from the
+    defaults, so nothing one call reads carries over to the next."""
+    return build_arg_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     try:
         if args.command == "moments":
             return cmd_moments(args.measure, args.n_max, args.out, args.format)

@@ -24,6 +24,7 @@ a bad value with the same message.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -445,6 +446,22 @@ BY_PARTS_N_MAX = 1 << 32
 # The largest double below 1.0, the clamp on moment_by_parts's nodes.
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
+# Threshold arrays moment_by_parts keeps, one per order, 8,640 bytes each,
+# so at most 1.1 MB.  A benchmark round of paper checks reads 78 distinct
+# orders (1..64 and the moments tables' 2^7..2^20), and a moments table to
+# BY_PARTS_N_MAX reads 33, so every order of either is computed once.
+_THRESHOLD_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_THRESHOLD_CACHE_SIZE)
+def _by_parts_thresholds(exponent: float) -> np.ndarray:
+    """The read-only thresholds u^exponent at the by-parts nodes, clamped
+    below 1.0: nodes near u = 1 can round t up to 1.0 exactly, and the
+    clamp keeps them strictly inside the domain of the tail."""
+    ts = np.minimum(np.power(_U_NODES, exponent), _BELOW_ONE)
+    ts.flags.writeable = False
+    return ts
+
 
 def moment_by_parts(m: Measure, n: int) -> float:
     """mu[n] recomputed as n * int_0^1 t^{n-1} mu([t,1)) dt, n >= 1.
@@ -453,19 +470,22 @@ def moment_by_parts(m: Measure, n: int) -> float:
     whose integrand is bounded by the total mass and carries no weight
     that depends on n, so one fixed node set serves every n: 12-point
     Gauss-Legendre on panels with edges 0, 1, 2^-j and 1 - 2^-j for
-    j = 1.._PANEL_DEPTH, built once at import.  Rounding, not the rule's
-    order, sets the error: on the measures of the _PANEL_DEPTH comment the
-    worst against mpmath was 1.35e-11 up to n = 2^20 (1.78e-11 with 24
-    points) and 6.1e-8 up to 2^32 at either order.  Each atom adds the area
-    mass * t0^n of its step in u in closed form, as moment() does, so the
-    densities' quadrature alone is an independent cross-check of moment().
-    The density tails at the nodes come from the same term loop as
-    tail_values (_add_density_tails), on m.densities directly: no Measure
-    is rebuilt and no threshold is re-checked, since u^{1/n} clamped below
-    1.0 lies in [0, 1) by construction.  Accurate to 1e-7 relative up to
-    n = BY_PARTS_N_MAX = 2^32; a larger n raises ValueError, since there
-    u^{1/n} rounds near 1 and 1 - t carries about 1e-16 / (1 - t)
-    relative error.
+    j = 1.._PANEL_DEPTH, built once at import.  The thresholds u^{1/n} at
+    those nodes are computed once per order per process and kept, keyed
+    on the float 1/n, for the last _THRESHOLD_CACHE_SIZE = 128 orders
+    read; only the tails are computed on each call.  Rounding, not the
+    rule's order, sets the error: on the measures of the _PANEL_DEPTH
+    comment the worst against mpmath was 1.35e-11 up to n = 2^20 (1.78e-11
+    with 24 points) and 6.1e-8 up to 2^32 at either order.  Each atom adds
+    the area mass * t0^n of its step in u in closed form, as moment() does,
+    so the densities' quadrature alone is an independent cross-check of
+    moment().  The density tails at the nodes come from the same term loop
+    as tail_values (_add_density_tails), on m.densities directly: no
+    Measure is rebuilt and no threshold is re-checked, since u^{1/n}
+    clamped below 1.0 lies in [0, 1) by construction.  Accurate to 1e-7
+    relative up to n = BY_PARTS_N_MAX = 2^32; a larger n raises
+    ValueError, since there u^{1/n} rounds near 1 and 1 - t carries about
+    1e-16 / (1 - t) relative error.
     """
     if not 1 <= n <= BY_PARTS_N_MAX:
         raise ValueError(
@@ -474,8 +494,5 @@ def moment_by_parts(m: Measure, n: int) -> float:
     steps = sum(mass * t0**n for t0, mass in m.atoms)
     if not m.densities:
         return float(steps)
-    # Nodes near u = 1 can round t up to 1.0 exactly; keep them strictly
-    # inside the domain of the tail.
-    ts = np.minimum(np.power(_U_NODES, 1.0 / n), _BELOW_ONE)
-    tails = _add_density_tails(m.densities, ts, None)
-    return float(steps + np.sum(tails * _U_WEIGHTS))
+    tails = _add_density_tails(m.densities, _by_parts_thresholds(float(1.0 / n)), None)
+    return float(steps + (tails * _U_WEIGHTS).sum())

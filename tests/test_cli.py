@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import cesarobench
+from cesarobench import cli
 from cesarobench.cli import (
     ConfigError,
     DEFAULT_MEASURES,
@@ -568,6 +569,62 @@ def test_unknown_command_exit_2(capsys) -> None:
         main(["bogus"])
     assert exc.value.code == 2
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """main builds its parser once a process; no call's options reach the next."""
+
+    def test_parser_built_once(self, monkeypatch, capsys) -> None:
+        built = []
+        original = cli.build_arg_parser
+
+        def counting():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_arg_parser", counting)
+        cli._arg_parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["moments", "--measure", "lebesgue", "--n-max", "2"]) == 0
+        finally:
+            cli._arg_parser.cache_clear()
+        assert built == [1]
+        assert capsys.readouterr().out.count("n,moment,") == 3
+
+    def test_format_does_not_carry_over(self, capsys) -> None:
+        args = ["moments", "--measure", "lebesgue", "--n-max", "4"]
+        assert main(args + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["measure"] == "lebesgue"
+        assert main(args) == 0
+        assert capsys.readouterr().out.startswith("n,moment,moment_by_parts,abs_diff\n")
+
+    def test_sizes_do_not_carry_over(self, capsys) -> None:
+        args = ["norm-growth", "--measure", "lebesgue", "--alpha", "1", "--beta", "1"]
+        assert main(args + ["--sizes", "16,32"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == [16, 32]
+        assert main(args) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == [64 << k for k in range(7)]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["moments"],
+            ["moments", "--measure", "lebesgue", "--format", "xml"],
+            ["norm-growth", "--measure", "lebesgue", "--alpha", "x", "--beta", "1"],
+        ],
+        ids=["missing-option", "bad-choice", "bad-type"],
+    )
+    def test_usage_error_leaves_next_call_working(self, bad, capsys) -> None:
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert "usage: cesarobench" in capsys.readouterr().err
+        assert main(["moments", "--measure", "lebesgue", "--n-max", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("n,moment,") and captured.err == ""
 
 
 class TestCmdVerify:

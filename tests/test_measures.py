@@ -624,6 +624,51 @@ class TestMomentByPartsAllocation:
         assert len(calls) == 1
 
 
+class TestByPartsThresholdCache:
+    """moment_by_parts keeps one read-only threshold array per order, keyed
+    on the float 1/n, and gives the bits it gave without the cache."""
+
+    def test_every_form_of_an_order_gives_the_same_bits(self):
+        lebesgue = Measure.lebesgue()
+        mixed = parse_measure("atom(0.9,0.25)+powlaw(c=0.5,gamma=0.5,delta=1)")
+        forms = [37, 37.0, np.int64(37), np.array(37)]
+        for form in forms:
+            measures._by_parts_thresholds.cache_clear()
+            assert moment_by_parts(lebesgue, form) == _by_parts_reference(lebesgue, 37)
+            assert moment_by_parts(mixed, form) == moment_by_parts(mixed, 37)
+        # All four forms share the one entry keyed on 1/37.
+        assert measures._by_parts_thresholds.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("n", [0, math.nan, 2**32 + 1, np.array(0), np.float64(math.nan)])
+    def test_orders_outside_the_range_still_raise(self, n):
+        with pytest.raises(ValueError, match="integration by parts"):
+            moment_by_parts(Measure.lebesgue(), n)
+
+    def test_cached_thresholds_are_read_only(self):
+        moment_by_parts(Measure.lebesgue(), 37)
+        ts = measures._by_parts_thresholds(1.0 / 37)
+        assert not ts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ts[0, 0] = 0.5
+
+    def test_cache_stays_within_its_bound(self):
+        lebesgue = Measure.lebesgue()
+        for n in range(1, 1001):
+            moment_by_parts(lebesgue, n)
+        info = measures._by_parts_thresholds.cache_info()
+        assert info.maxsize == measures._THRESHOLD_CACHE_SIZE
+        assert info.currsize <= measures._THRESHOLD_CACHE_SIZE
+
+    def test_cold_and_warm_calls_agree_bit_for_bit(self):
+        panel = {format_measure(m): m for _, m, _, _ in build_panel(default_config())}
+        panel.update((expr, parse_measure(expr)) for expr in PANEL)
+        for n in _BY_PARTS_NS:
+            for m in panel.values():
+                measures._by_parts_thresholds.cache_clear()
+                cold = moment_by_parts(m, n)
+                assert moment_by_parts(m, n) == cold, (format_measure(m), n)
+
+
 class TestMomentsAtAtoms:
     """moments_at skips pow where an atom's power rounds to +0, bit for bit."""
 
